@@ -1,7 +1,7 @@
 """Lets the test suite run from a source checkout without installing.
 
 An installed (or editable-installed) package wins; otherwise src/ goes on
-sys.path and the pure-Python kernel backend serves the tests.
+sys.path.
 """
 
 import sys

@@ -8,7 +8,6 @@ function on [0, 1/e) and Ramanujan's Q-function growth.
 """
 
 from .approx import QGrowthRow, TreeEvalResult, q_float, q_growth_check, tree_eval
-from .backend import BACKEND_NAME, available_backends, get_kernels
 from .exact import ExactInt, ExactRational, binomial, factorial, ipow00, multinomial
 from .identity import (
     ALL_ROUTES,
@@ -46,7 +45,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALL_ROUTES",
-    "BACKEND_NAME",
     "DEFAULT_BRUTE_CUTOFF",
     "CompositionCursor",
     "ConsistencyError",
@@ -61,7 +59,6 @@ __all__ = [
     "add",
     "alpha_closed",
     "alpha_direct",
-    "available_backends",
     "beta_closed",
     "beta_direct",
     "binomial",
@@ -70,7 +67,6 @@ __all__ = [
     "exp_trunc",
     "factorial",
     "geom_power",
-    "get_kernels",
     "ipow00",
     "mul",
     "multinomial",

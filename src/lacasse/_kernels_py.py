@@ -1,8 +1,6 @@
 """Pure-Python kernels for the hot inner loops.
 
-The compiled twin (``_ckernels.pyx``) implements the same functions with the
-same algorithms; ``backend`` picks one at import time and the two must agree
-bit for bit.
+Callers reach these through ``backend.kernels``.
 
 Series kernels work on EGF integer vectors: entry m holds m! times the
 coefficient of z^m.  For every series handled here (the tree function and
@@ -11,8 +9,6 @@ below never leave the integers and never touch a gcd.
 """
 
 from __future__ import annotations
-
-BACKEND_NAME = "py"
 
 
 def pascal_rows(order: int) -> list[list[int]]:

@@ -1,58 +1,9 @@
-"""Kernel backend selection: compiled extension when available, pure Python otherwise.
+"""The kernel module every hot loop calls through.
 
-Set ``LACASSE_KERNELS=py`` or ``=c`` to force a backend; the default
-(``auto``) prefers the compiled kernels and silently falls back.
+``series`` and ``identity`` reach the kernels as ``backend.kernels.<fn>``
+rather than importing the functions directly, so a caller can rebind this
+one attribute to wrap or replace all of them at once (the benchmark's
+tracer and the consistency-guard tests do).
 """
 
-from __future__ import annotations
-
-import os
-from types import ModuleType
-
-ENV_VAR = "LACASSE_KERNELS"
-_VALID = ("auto", "c", "py")
-
-
-def get_kernels(name: str) -> ModuleType:
-    """Return the kernel module for an explicit backend name ('c' or 'py')."""
-    if name == "py":
-        from . import _kernels_py
-
-        return _kernels_py
-    if name == "c":
-        from . import _ckernels  # compiled extension; may not be built
-
-        return _ckernels
-    raise ValueError(f"unknown kernels backend {name!r}; expected 'c' or 'py'")
-
-
-def available_backends() -> tuple[str, ...]:
-    """Backend names importable in this environment; 'py' is always present."""
-    names = ["py"]
-    try:
-        get_kernels("c")
-    except ImportError:
-        pass
-    else:
-        names.insert(0, "c")
-    return tuple(names)
-
-
-def _select() -> tuple[str, ModuleType]:
-    requested = os.environ.get(ENV_VAR, "auto")
-    if requested not in _VALID:
-        raise ValueError(f"{ENV_VAR} must be one of {_VALID}, got {requested!r}")
-    if requested == "py":
-        return "py", get_kernels("py")
-    try:
-        return "c", get_kernels("c")
-    except ImportError:
-        if requested == "c":
-            raise ImportError(
-                "compiled kernels requested via LACASSE_KERNELS=c but the "
-                "extension is not built; reinstall with a C compiler and Cython"
-            ) from None
-        return "py", get_kernels("py")
-
-
-BACKEND_NAME, kernels = _select()
+from . import _kernels_py as kernels  # noqa: F401

@@ -2,7 +2,7 @@
 
 Subcommands: ``value`` (one exact quantity), ``verify`` (the identity over a
 range, machine-readable, parallelizable), ``series`` (coefficient tables),
-``bench`` (route and backend timings).
+``bench`` (route timings).
 
 Exit codes: 0 success, 1 verification failure (an arithmetic bug, the
 identity being a theorem), 2 usage or domain error.  Exact values print as
@@ -18,8 +18,10 @@ import statistics
 import sys
 import time
 from dataclasses import dataclass, field
+from decimal import Decimal
+from fractions import Fraction
 
-from . import backend, identity
+from . import identity
 from . import series as series_mod
 
 EXIT_OK = 0
@@ -65,6 +67,20 @@ class Record:
         ]
 
 
+def _exact_str(x: int | Fraction) -> str:
+    """Full decimal digits of an int, or ``p/q`` of a Fraction, at any size.
+
+    ``str(int)`` refuses ints longer than ``sys.get_int_max_str_digits()``
+    (4300 digits by default from Python 3.11 on); ``Decimal`` prints the
+    same digits with no such limit, and leaves the process-wide limit alone.
+    """
+    if isinstance(x, Fraction):
+        if x.denominator == 1:
+            return _exact_str(x.numerator)
+        return f"{_exact_str(x.numerator)}/{_exact_str(x.denominator)}"
+    return str(Decimal(x))
+
+
 def _emit(records: list[Record], fmt: str, plain_lines: list[str], out=None) -> None:
     out = out if out is not None else sys.stdout
     if fmt == "plain":
@@ -100,7 +116,7 @@ def cmd_value(args) -> int:
         "diff": identity.telescoping_difference,
     }
     value = identity.s_d_closed(n, d) if quantity == "s_d" else compute[quantity](n)
-    text = str(value)
+    text = _exact_str(value)
     rec = Record(n=n, quantity=quantity, d=d, value=text)
     _emit([rec], args.format, [text])
     return EXIT_OK
@@ -114,24 +130,22 @@ def cmd_verify(args) -> int:
     records = []
     plain_lines = []
     for rep in reports:
+        alpha, beta = _exact_str(rep.alpha), _exact_str(rep.beta)
+        diff, expected = _exact_str(rep.difference), _exact_str(rep.expected)
         records.append(
             Record(
                 n=rep.n,
                 quantity="diff",
                 d=None,
-                value=str(rep.difference),
+                value=diff,
                 passed=rep.passed,
                 routes=rep.routes_compared,
-                extra={
-                    "alpha": str(rep.alpha),
-                    "beta": str(rep.beta),
-                    "expected": str(rep.expected),
-                },
+                extra={"alpha": alpha, "beta": beta, "expected": expected},
             )
         )
         plain_lines.append(
-            f"n={rep.n} alpha={rep.alpha} beta={rep.beta} diff={rep.difference} "
-            f"expected={rep.expected} routes={','.join(rep.routes_compared)} "
+            f"n={rep.n} alpha={alpha} beta={beta} diff={diff} "
+            f"expected={expected} routes={','.join(rep.routes_compared)} "
             f"{'PASS' if rep.passed else 'FAIL'}"
         )
     failed = sum(1 for rep in reports if not rep.passed)
@@ -158,11 +172,9 @@ def cmd_series(args) -> int:
     records = []
     plain_lines = []
     for m in range(order + 1):
-        coeff = s[m]
-        egf = series_mod.egf_coeff(s, m)
-        records.append(
-            Record(n=m, quantity=label, d=d, value=str(coeff), extra={"egf": str(egf)})
-        )
+        coeff = _exact_str(s[m])
+        egf = _exact_str(series_mod.egf_coeff(s, m))
+        records.append(Record(n=m, quantity=label, d=d, value=coeff, extra={"egf": egf}))
         plain_lines.append(f"{m} {coeff} {egf}")
     _emit(records, args.format, plain_lines)
     return EXIT_OK
@@ -201,25 +213,14 @@ def cmd_bench(args) -> int:
     values = {}
     for route, fn in (("closed", run_closed), ("series", run_series), ("brute", run_brute)):
         median, result = _median_time(fn, args.repetitions)
-        rows.append((route, backend.BACKEND_NAME, median))
+        rows.append((route, "py", median))  # the backend field keeps the row schema
         values[route] = result
     agree = values["closed"] == values["series"] and all(
         values["brute"][i] == values["closed"][n - 1] for i, n in enumerate(admitted)
     )
 
-    backend_rows = []
-    if args.compare_backends:
-        for name in backend.available_backends():
-            k = backend.get_kernels(name)
-            median, _ = _median_time(lambda k=k: k.tree_egf(n_max), args.repetitions)
-            backend_rows.append((f"kernel:tree_egf({n_max})", name, median))
-            median, _ = _median_time(
-                lambda k=k: [k.comp_power_sum(n, d) for n in admitted], args.repetitions
-            )
-            backend_rows.append((f"kernel:comp_power_sum(n<={n_max},d={d})", name, median))
-
     if args.format == "json":
-        for route, name, median in rows + backend_rows:
+        for route, name, median in rows:
             print(
                 json.dumps(
                     {
@@ -236,12 +237,12 @@ def cmd_bench(args) -> int:
     elif args.format == "csv":
         print("route,backend,median_seconds")
         writer = csv.writer(sys.stdout, quoting=csv.QUOTE_ALL, lineterminator="\n")
-        for route, name, median in rows + backend_rows:
+        for route, name, median in rows:
             writer.writerow([route, name, f"{median:.6f}"])
     else:
         print(f"s_d benchmark: d={d}, n=1..{n_max}, {args.repetitions} repetition(s), median wall times")
-        width = max(len(r[0]) for r in rows + backend_rows)
-        for route, name, median in rows + backend_rows:
+        width = max(len(r[0]) for r in rows)
+        for route, name, median in rows:
             print(f"  {route:<{width}}  backend={name:<3}  {median:.6f}s")
         print(f"values agree across routes: {'yes' if agree else 'NO'}")
         if not admitted:
@@ -296,11 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--n-max", type=int, default=20)
     p_bench.add_argument("--d", type=int, default=2)
     p_bench.add_argument("--repetitions", type=int, default=3)
-    p_bench.add_argument(
-        "--compare-backends",
-        action="store_true",
-        help="also time the hot kernels on every available backend",
-    )
     p_bench.add_argument("--format", choices=FORMATS, default="plain")
     p_bench.set_defaults(func=cmd_bench)
 

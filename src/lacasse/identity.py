@@ -15,6 +15,7 @@ xi2(n) = xi(n) + n after dividing by n^n.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -218,8 +219,7 @@ def s_d_closed(n: int, d: int) -> int:
 def xi_scaled_brute(n: int, d: int) -> int:
     """Oracle for s_d_closed: enumerate all weak d-part compositions of n.
 
-    Cost is C(n+d-1, d-1) terms; intended for moderate n.  Runs on the
-    active kernel backend.
+    Cost is C(n+d-1, d-1) terms; intended for moderate n.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -400,8 +400,9 @@ def verify_range(
     """verify_lacasse for every n in [first, last], reports ordered by n.
 
     The series tables are built once at order ``last`` and shared across
-    the whole range; per-n work fans out over ``jobs`` processes when
-    jobs > 1 (results are identical regardless of jobs).
+    the whole range; per-n work fans out over up to ``jobs`` processes,
+    never more than there are values of n or CPUs (results are identical
+    regardless of jobs).
     """
     if first < 1 or last < first:
         raise ValueError(f"invalid range [{first}, {last}]; need 1 <= from <= to")
@@ -423,8 +424,9 @@ def verify_range(
         (n, requested, cutoff, series_values.get(n))
         for n in range(first, last + 1)
     ]
-    if jobs == 1:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers == 1:
         return [_verify_task(t) for t in tasks]
-    chunk = max(1, len(tasks) // (jobs * 4))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    chunk = max(1, len(tasks) // (workers * 4))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_verify_task, tasks, chunksize=chunk))

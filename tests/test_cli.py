@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import json
 import os
@@ -7,9 +8,11 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import lacasse
 from lacasse import cli, identity
-from lacasse.identity import VerificationReport, alpha_closed, ramanujan_q
+from lacasse.identity import VerificationReport, alpha_closed, beta_closed, ramanujan_q
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -97,6 +100,78 @@ def test_value_format_equivalence(capsys):
     assert rows[0] == ["n", "quantity", "d", "value", "passed"]
     assert rows[1][3] == plain_value
     assert int(plain_value) == alpha_closed(7)
+
+
+# --- large n: full decimal output past the int-to-str digit limit ----------
+
+
+def _str_unlimited(x) -> str:
+    """str(x) with Python's int-to-str digit limit lifted, then restored."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:  # before Python 3.11 there is no limit
+        return str(x)
+    old = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(x)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@functools.lru_cache(maxsize=None)
+def _value_text(quantity: str, n: int) -> str:
+    compute = {"alpha": alpha_closed, "beta": beta_closed, "q": ramanujan_q}
+    return _str_unlimited(compute[quantity](n))
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+@pytest.mark.parametrize("quantity", ["alpha", "q"])
+def test_value_large_n_full_digits(capsys, quantity, fmt):
+    text = _value_text(quantity, 2000)
+    assert max(len(part) for part in text.split("/")) > 4300
+    code, out, err = main_out(capsys, "value", quantity, "2000", "--format", fmt)
+    assert (code, err) == (0, "")
+    if fmt == "plain":
+        assert out == text + "\n"
+    elif fmt == "json":
+        assert json.loads(out) == {
+            "n": 2000, "quantity": quantity, "d": None,
+            "value": text, "passed": None, "routes": None,
+        }
+    else:
+        assert out == f'n,quantity,d,value,passed\n"2000","{quantity}","","{text}",""\n'
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_verify_large_n_full_digits(capsys, fmt):
+    code, out, _ = main_out(
+        capsys, "verify", "--from", "1500", "--to", "1501", "--routes", "closed",
+        "--format", fmt,
+    )
+    assert code == 0
+    rows = []
+    for n in (1500, 1501):
+        alpha, beta = _value_text("alpha", n), _value_text("beta", n)
+        diff = _str_unlimited(n ** (n + 1))
+        assert len(alpha) > 4300
+        rows.append((n, alpha, beta, diff))
+    if fmt == "plain":
+        assert out.splitlines() == [
+            f"n={n} alpha={a} beta={b} diff={d} expected={d} routes=closed PASS"
+            for n, a, b, d in rows
+        ] + ["verify [1500,1501]: 2/2 passed"]
+    elif fmt == "json":
+        assert [json.loads(line) for line in out.splitlines()] == [
+            {
+                "n": n, "quantity": "diff", "d": None, "value": d, "passed": True,
+                "routes": ["closed"], "alpha": a, "beta": b, "expected": d,
+            }
+            for n, a, b, d in rows
+        ]
+    else:
+        assert list(csv.reader(io.StringIO(out))) == [
+            ["n", "quantity", "d", "value", "passed"]
+        ] + [[str(n), "diff", "", d, "true"] for n, a, b, d in rows]
 
 
 # --- verify -----------------------------------------------------------------
@@ -242,16 +317,6 @@ def test_bench_smoke(capsys):
     assert "values agree across routes: yes" in out
     for route in ("closed", "series", "brute"):
         assert route in out
-
-
-def test_bench_compare_backends(capsys):
-    code, out, _ = main_out(
-        capsys,
-        "bench", "--n-max", "5", "--repetitions", "1", "--compare-backends",
-    )
-    assert code == 0
-    assert "kernel:tree_egf" in out
-    assert "backend=py" in out
 
 
 def test_bench_json(capsys):

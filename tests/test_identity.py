@@ -306,3 +306,35 @@ def test_verify_range_jobs_independent():
     sequential = verify_range(1, 12)
     parallel = verify_range(1, 12, jobs=3)
     assert sequential == parallel
+
+
+def test_verify_range_clamps_jobs(monkeypatch):
+    # a pool would start every requested worker at once, so the count is
+    # checked on a stand-in that records it and maps in this process
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(identity, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(identity.os, "cpu_count", lambda: 4)
+    want = verify_range(1, 6, routes=("closed",))
+    assert pools == []
+    assert verify_range(1, 6, routes=("closed",), jobs=5000) == want
+    assert pools == [4]  # one worker per CPU
+    assert verify_range(1, 2, routes=("closed",), jobs=5000) == want[:2]
+    assert pools == [4, 2]  # one worker per value of n
+    assert verify_range(3, 3, routes=("closed",), jobs=5000) == want[2:3]
+    monkeypatch.setattr(identity.os, "cpu_count", lambda: None)
+    assert verify_range(1, 6, routes=("closed",), jobs=5000) == want
+    assert pools == [4, 2]  # a single worker runs inline, without a pool
