@@ -55,22 +55,6 @@ def _exp(u: list, rows: list, n: int) -> list:
     return g
 
 
-def egf_mul(u: list, v: list) -> list:
-    """Binomial convolution (EGF product), truncated to the shorter input."""
-    n = min(len(u), len(v)) - 1
-    if n < 0:
-        raise ValueError("egf_mul requires nonempty vectors")
-    return _mul(u, v, pascal_rows(n), n)
-
-
-def egf_exp(u: list) -> list:
-    """EGF exponential of a vector whose constant term is 0."""
-    if not u or u[0] != 0:
-        raise ValueError("egf_exp requires constant term 0")
-    n = len(u) - 1
-    return _exp(u, pascal_rows(max(n - 1, 0)), n)
-
-
 def egf_recip(u: list) -> list:
     """EGF reciprocal of a vector whose constant term is 1."""
     if not u or u[0] != 1:

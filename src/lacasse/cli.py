@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from . import identity
 from . import series as series_mod
+from .exact import DomainError
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -99,7 +100,7 @@ def _emit(records: list[Record], fmt: str, plain_lines: list[str], out=None) -> 
 def _parse_routes(raw: str) -> tuple[str, ...]:
     labels = tuple(part.strip() for part in raw.split(",") if part.strip())
     if not labels:
-        raise ValueError("at least one route is required")
+        raise DomainError("at least one route is required")
     return labels  # validated by identity._normalize_routes
 
 
@@ -171,9 +172,12 @@ def cmd_series(args) -> int:
         s = series_mod.geom_power(tree, args.d, order)
     records = []
     plain_lines = []
+    f = 1  # m!, the only division out of the n!-scaled vector
     for m in range(order + 1):
-        coeff = _exact_str(s[m])
-        egf = _exact_str(series_mod.egf_coeff(s, m))
+        if m:
+            f *= m
+        e = series_mod.egf_coeff(s, m)
+        coeff, egf = _exact_str(Fraction(e, f)), _exact_str(e)
         records.append(Record(n=m, quantity=label, d=d, value=coeff, extra={"egf": egf}))
         plain_lines.append(f"{m} {coeff} {egf}")
     _emit(records, args.format, plain_lines)
@@ -192,9 +196,9 @@ def _median_time(fn, repetitions: int) -> tuple[float, object]:
 
 def cmd_bench(args) -> int:
     if args.repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {args.repetitions}")
+        raise DomainError(f"repetitions must be >= 1, got {args.repetitions}")
     if args.n_max < 1:
-        raise ValueError(f"n-max must be >= 1, got {args.n_max}")
+        raise DomainError(f"n-max must be >= 1, got {args.n_max}")
     n_max, d = args.n_max, args.d
     admitted = [n for n in range(1, n_max + 1) if identity.brute_force_admitted(n, d)]
 
@@ -204,7 +208,7 @@ def cmd_bench(args) -> int:
     def run_series():
         t = series_mod.tree_series(n_max)
         p = series_mod.geom_power(t, d, n_max)
-        return [series_mod.egf_coeff(p, n).numerator for n in range(1, n_max + 1)]
+        return [series_mod.egf_coeff(p, n) for n in range(1, n_max + 1)]
 
     def run_brute():
         return [identity.xi_scaled_brute(n, d) for n in admitted]
@@ -311,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (

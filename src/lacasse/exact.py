@@ -17,6 +17,7 @@ ExactInt = int
 ExactRational = Fraction
 
 __all__ = [
+    "DomainError",
     "ExactInt",
     "ExactRational",
     "binomial",
@@ -24,6 +25,14 @@ __all__ = [
     "ipow00",
     "multinomial",
 ]
+
+
+class DomainError(ValueError):
+    """An argument outside the domain of the requested quantity.
+
+    The one error the CLI reports as a usage or domain error (exit 2).  Any
+    other ValueError is a fault inside the program and is not caught there.
+    """
 
 
 def factorial(n: int) -> int:

@@ -22,12 +22,11 @@ from fractions import Fraction
 
 from . import backend
 from . import series as _series
-from .exact import binomial, ipow00, multinomial
+from .exact import DomainError, binomial, ipow00
 from .series import ConsistencyError
 
 __all__ = [
     "ALL_ROUTES",
-    "CompositionCursor",
     "DEFAULT_BRUTE_CUTOFF",
     "IdentityFailureError",
     "RouteDisagreementError",
@@ -35,7 +34,6 @@ __all__ = [
     "alpha_closed",
     "alpha_direct",
     "beta_closed",
-    "beta_direct",
     "brute_force_admitted",
     "ramanujan_q",
     "s_d_closed",
@@ -93,50 +91,6 @@ class VerificationReport:
     passed: bool
 
 
-class CompositionCursor:
-    """Iterator over the weak compositions of n into d parts.
-
-    Colex odometer order, starting from (n, 0, ..., 0) and ending at
-    (0, ..., 0, n); visits each of the C(n+d-1, d-1) compositions exactly
-    once.  ``current`` exposes the last tuple yielded.
-    """
-
-    def __init__(self, n: int, d: int):
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
-        if d < 1:
-            raise ValueError(f"d must be >= 1, got {d}")
-        self.n = n
-        self.d = d
-        self.current: tuple[int, ...] | None = None
-        self._exhausted = False
-
-    def __iter__(self) -> "CompositionCursor":
-        return self
-
-    def __next__(self) -> tuple[int, ...]:
-        if self._exhausted:
-            raise StopIteration
-        if self.current is None:
-            first = [0] * self.d
-            first[0] = self.n
-            self.current = tuple(first)
-            return self.current
-        state = list(self.current)
-        i = 0
-        while i < self.d and state[i] == 0:
-            i += 1
-        if i >= self.d - 1:
-            self._exhausted = True
-            raise StopIteration
-        v = state[i]
-        state[i] = 0
-        state[0] = v - 1
-        state[i + 1] += 1
-        self.current = tuple(state)
-        return self.current
-
-
 def _powers(base: int, top: int) -> list[int]:
     # [base^0 .. base^top] by repeated multiplication; base^0 == 1 even for base 0
     out = [1]
@@ -148,7 +102,7 @@ def _powers(base: int, top: int) -> list[int]:
 def alpha_direct(n: int) -> int:
     """The definitional sum sum_k C(n,k) k^k (n-k)^(n-k)."""
     if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+        raise DomainError(f"n must be >= 0, got {n}")
     return sum(
         binomial(n, k) * ipow00(k, k) * ipow00(n - k, n - k) for k in range(n + 1)
     )
@@ -157,7 +111,7 @@ def alpha_direct(n: int) -> int:
 def alpha_closed(n: int) -> int:
     """alpha(n) = sum_k (n!/k!) n^k, accumulated as falling factorials (no division)."""
     if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+        raise DomainError(f"n must be >= 0, got {n}")
     powers = _powers(n, n)
     total = 0
     ff = 1  # n!/k! while k runs n down to 0
@@ -167,23 +121,10 @@ def alpha_closed(n: int) -> int:
     return total
 
 
-def beta_direct(n: int) -> int:
-    """The definitional 3-part multinomial sum, enumerated composition by composition."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    total = 0
-    for parts in CompositionCursor(n, 3):
-        w = multinomial(parts)
-        for k in parts:
-            w *= ipow00(k, k)
-        total += w
-    return total
-
-
 def beta_closed(n: int) -> int:
     """beta(n) = sum_k (n!/k!) (n+1-k) n^k, falling-factorial accumulation."""
     if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+        raise DomainError(f"n must be >= 0, got {n}")
     powers = _powers(n, n)
     total = 0
     ff = 1
@@ -202,9 +143,9 @@ def s_d_closed(n: int, d: int) -> int:
     weight [j == n]).
     """
     if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+        raise DomainError(f"n must be >= 0, got {n}")
     if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+        raise DomainError(f"d must be >= 1, got {d}")
     if d == 1:
         return ipow00(n, n)
     powers = _powers(n, n)
@@ -222,23 +163,23 @@ def xi_scaled_brute(n: int, d: int) -> int:
     Cost is C(n+d-1, d-1) terms; intended for moderate n.
     """
     if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+        raise DomainError(f"n must be >= 0, got {n}")
     if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+        raise DomainError(f"d must be >= 1, got {d}")
     return backend.kernels.comp_power_sum(n, d)
 
 
 def xi(n: int) -> Fraction:
     """alpha(n) / n^n as an exact rational; undefined at n = 0."""
     if n < 1:
-        raise ValueError(f"xi({n}) is undefined; n >= 1 required (division by n^n)")
+        raise DomainError(f"xi({n}) is undefined; n >= 1 required (division by n^n)")
     return Fraction(alpha_closed(n), n**n)
 
 
 def xi2(n: int) -> Fraction:
     """beta(n) / n^n as an exact rational; undefined at n = 0."""
     if n < 1:
-        raise ValueError(f"xi2({n}) is undefined; n >= 1 required (division by n^n)")
+        raise DomainError(f"xi2({n}) is undefined; n >= 1 required (division by n^n)")
     return Fraction(beta_closed(n), n**n)
 
 
@@ -252,7 +193,7 @@ def telescoping_difference(n: int) -> int:
     mismatch raises ConsistencyError.
     """
     if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+        raise DomainError(f"n must be >= 0, got {n}")
     powers = _powers(n, n + 1)
     ff = [0] * (n + 1)  # ff[k] = n!/k!
     acc = 1
@@ -296,7 +237,7 @@ def ramanujan_q(n: int) -> Fraction:
     Satisfies alpha(n) = n^n (1 + Q(n)).
     """
     if n < 1:
-        raise ValueError(f"ramanujan_q({n}) is undefined; n >= 1 required")
+        raise DomainError(f"ramanujan_q({n}) is undefined; n >= 1 required")
     num = 1  # falling product (n-1)(n-2)...(n-k+1)
     den = 1  # n^(k-1)
     total = Fraction(0)
@@ -316,7 +257,7 @@ def _normalize_routes(routes) -> tuple[str, ...]:
     requested = set(routes)
     unknown = requested.difference(ALL_ROUTES)
     if unknown:
-        raise ValueError(f"unknown routes {sorted(unknown)}; valid routes are {ALL_ROUTES}")
+        raise DomainError(f"unknown routes {sorted(unknown)}; valid routes are {ALL_ROUTES}")
     requested.add("closed")  # the closed forms are always computed
     return tuple(r for r in ALL_ROUTES if r in requested)
 
@@ -333,9 +274,7 @@ def _series_alpha_beta(n: int) -> tuple[int, int]:
     t = _series.tree_series(n)
     a = _series.egf_coeff(_series.geom_power(t, 2, n), n)
     b = _series.egf_coeff(_series.geom_power(t, 3, n), n)
-    if a.denominator != 1 or b.denominator != 1:
-        raise ConsistencyError(f"series route produced non-integer counts at n={n}")
-    return a.numerator, b.numerator
+    return a, b
 
 
 def verify_lacasse(
@@ -352,7 +291,7 @@ def verify_lacasse(
     somewhere in the arithmetic, since the identity is a theorem).
     """
     if n < 1:
-        raise ValueError(f"verify_lacasse requires n >= 1, got {n}")
+        raise DomainError(f"verify_lacasse requires n >= 1, got {n}")
     requested = _normalize_routes(routes)
     alpha_by = {"closed": alpha_closed(n)}
     beta_by = {"closed": beta_closed(n)}
@@ -405,9 +344,9 @@ def verify_range(
     regardless of jobs).
     """
     if first < 1 or last < first:
-        raise ValueError(f"invalid range [{first}, {last}]; need 1 <= from <= to")
+        raise DomainError(f"invalid range [{first}, {last}]; need 1 <= from <= to")
     if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+        raise DomainError(f"jobs must be >= 1, got {jobs}")
     requested = _normalize_routes(routes)
     series_values: dict[int, tuple[int, int]] = {}
     if "series" in requested:
@@ -415,11 +354,7 @@ def verify_range(
         s2 = _series.geom_power(t, 2, last)
         s3 = _series.geom_power(t, 3, last)
         for n in range(first, last + 1):
-            a = _series.egf_coeff(s2, n)
-            b = _series.egf_coeff(s3, n)
-            if a.denominator != 1 or b.denominator != 1:
-                raise ConsistencyError(f"series route produced non-integer counts at n={n}")
-            series_values[n] = (a.numerator, b.numerator)
+            series_values[n] = (_series.egf_coeff(s2, n), _series.egf_coeff(s3, n))
     tasks = [
         (n, requested, cutoff, series_values.get(n))
         for n in range(first, last + 1)

@@ -1,27 +1,23 @@
-"""Truncated formal power series over exact rationals.
+"""Truncated tree-function series as n!-scaled integer vectors.
 
-Builds the tree function y(z) (the solution of y = z*e^y) and powers of
-1/(1 - y), which carry the series route to alpha, beta and the general
-d-part sums.  All arithmetic is exact; mixing orders truncates to the
-smaller one, never zero-extends.
+A series is a tuple of ints truncated at a fixed order: entry m holds m!
+times the coefficient of z^m (the series' exponential-generating-function
+entry).  The tree function y(z) (the solution of y = z*e^y) and every
+power of 1/(1 - y) have integer entries in this form, so the series route
+to alpha, beta and the general d-part sums never leaves the integers.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from fractions import Fraction
+from collections.abc import Sequence
 
 from . import backend
-from .exact import factorial
+from .exact import DomainError
 
 __all__ = [
     "ConsistencyError",
-    "TruncatedSeries",
-    "add",
     "egf_coeff",
-    "exp_trunc",
     "geom_power",
-    "mul",
     "tree_series",
 ]
 
@@ -34,171 +30,17 @@ class ConsistencyError(RuntimeError):
     """
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError("float coefficients are not exact; pass int, str or Fraction")
-    return Fraction(value)
-
-
-class TruncatedSeries:
-    """Dense power series with Fraction coefficients, truncated at a fixed order.
-
-    Immutable: all operations allocate fresh series.  Index n holds the
-    coefficient of z^n; the truncation order is inclusive.
-    """
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Iterable, order: int | None = None):
-        items = [_as_fraction(c) for c in coeffs]
-        if order is not None:
-            if order < 0:
-                raise ValueError(f"order must be >= 0, got {order}")
-            if len(items) > order + 1:
-                raise ValueError(
-                    f"{len(items)} coefficients exceed order {order}"
-                )
-            items.extend([Fraction(0)] * (order + 1 - len(items)))
-        if not items:
-            raise ValueError("a series needs at least its constant coefficient")
-        self._coeffs = tuple(items)
-
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls([0], order=order)
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls([1], order=order)
-
-    @classmethod
-    def z(cls, order: int) -> "TruncatedSeries":
-        """The monomial z (truncated to the constant series when order is 0)."""
-        if order == 0:
-            return cls([0], order=0)
-        return cls([0, 1], order=order)
-
-    @property
-    def order(self) -> int:
-        return len(self._coeffs) - 1
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
-
-    def __getitem__(self, n: int) -> Fraction:
-        if not 0 <= n <= self.order:
-            raise IndexError(f"coefficient index {n} beyond truncation order {self.order}")
-        return self._coeffs[n]
-
-    def __len__(self) -> int:
-        return len(self._coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
-    def __repr__(self) -> str:
-        shown = ", ".join(str(c) for c in self._coeffs[:6])
-        tail = ", ..." if self.order > 5 else ""
-        return f"TruncatedSeries(order={self.order}, [{shown}{tail}])"
-
-    def _coerce(self, other) -> "TruncatedSeries | None":
-        if isinstance(other, TruncatedSeries):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return TruncatedSeries([other], order=self.order)
-        return None
-
-    def __add__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return TruncatedSeries([a + b for a, b in zip(self._coeffs, rhs._coeffs)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedSeries([-a for a in self._coeffs])
-
-    def __sub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return TruncatedSeries([a - b for a, b in zip(self._coeffs, rhs._coeffs)])
-
-    def __rsub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs - self
-
-    def __mul__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        n = min(self.order, rhs.order)
-        a, b = self._coeffs, rhs._coeffs
-        out = []
-        for m in range(n + 1):
-            acc = Fraction(0)
-            for j in range(m + 1):
-                aj = a[j]
-                if aj:
-                    acc += aj * b[m - j]
-            out.append(acc)
-        return TruncatedSeries(out)
-
-    __rmul__ = __mul__
-
-
-def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Coefficientwise sum, truncated to the smaller order."""
-    return a + b
-
-
-def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product, truncated to the smaller order."""
-    return a * b
-
-
-def exp_trunc(a: TruncatedSeries) -> TruncatedSeries:
-    """Exponential sum_j a^j / j! of a series with zero constant term.
-
-    Computed through the derivative recurrence g' = a'g, i.e.
-    g[m] = (1/m) * sum_{j=1..m} j a[j] g[m-j], which yields the defining
-    power sum exactly in O(order^2) coefficient operations.
-    """
-    if a[0] != 0:
-        raise ValueError("exp_trunc requires a zero constant term")
-    n = a.order
-    g = [Fraction(0)] * (n + 1)
-    g[0] = Fraction(1)
-    coeffs = a.coeffs
-    for m in range(1, n + 1):
-        acc = Fraction(0)
-        for j in range(1, m + 1):
-            aj = coeffs[j]
-            if aj:
-                acc += j * aj * g[m - j]
-        g[m] = acc / m
-    return TruncatedSeries(g)
-
-
-def tree_series(order: int) -> TruncatedSeries:
+def tree_series(order: int) -> tuple[int, ...]:
     """The tree function y(z) = sum_{n>=1} n^(n-1) z^n / n! to the given order.
 
-    Built two independent ways on every call: the explicit coefficient
-    formula and the fixed point y <- z * exp(y) iterated order+1 times.
-    A mismatch raises ConsistencyError, since every downstream result
-    leans on this series.
+    Returns (0, 1, 2, 9, 64, ...): entry n is n^(n-1), the number of rooted
+    labeled trees on n vertices.  Built two independent ways on every call:
+    the explicit formula and the fixed point y <- z * exp(y) iterated
+    order+1 times.  A mismatch raises ConsistencyError, since every
+    downstream result leans on this series.
     """
     if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+        raise DomainError(f"order must be >= 0, got {order}")
     formula = [0] + [n ** (n - 1) for n in range(1, order + 1)]
     fixed_point = backend.kernels.tree_egf(order)
     if formula != fixed_point:
@@ -207,89 +49,27 @@ def tree_series(order: int) -> TruncatedSeries:
             f"tree series constructions disagree at z^{bad}: "
             f"formula {formula[bad]}, fixed point {fixed_point[bad]}"
         )
-    coeffs = []
-    f = 1
-    for n, egf in enumerate(formula):
-        if n:
-            f *= n
-        coeffs.append(Fraction(egf, f))
-    return TruncatedSeries(coeffs)
+    return tuple(formula)
 
 
-def _egf_int_vector(s: TruncatedSeries) -> list[int] | None:
-    """n! * coeff[n] as a plain int vector, or None if any entry is non-integral."""
-    out = []
-    f = 1
-    for n, c in enumerate(s.coeffs):
-        if n:
-            f *= n
-        v = c * f
-        if v.denominator != 1:
-            return None
-        out.append(v.numerator)
-    return out
+def geom_power(y: Sequence[int], d: int, order: int) -> tuple[int, ...]:
+    """(1/(1 - y))^d truncated at min(order, len(y) - 1); y needs zero constant term.
 
-
-def _reciprocal_unit(a: TruncatedSeries) -> TruncatedSeries:
-    # b with a*b = 1; requires a[0] == 1
-    n = a.order
-    coeffs = a.coeffs
-    b = [Fraction(0)] * (n + 1)
-    b[0] = Fraction(1)
-    for m in range(1, n + 1):
-        acc = Fraction(0)
-        for j in range(1, m + 1):
-            aj = coeffs[j]
-            if aj:
-                acc += aj * b[m - j]
-        b[m] = -acc
-    return TruncatedSeries(b)
-
-
-def geom_power(y: TruncatedSeries, d: int, order: int) -> TruncatedSeries:
-    """(1/(1 - y))^d truncated at min(order, y.order); y needs zero constant term.
-
-    Series with integral EGF coefficients (the tree function and friends)
-    run through the integer kernels; anything else takes the rational
-    inversion-and-powering path.
+    Input and output are n!-scaled integer vectors.
     """
     if d < 1:
-        raise ValueError(f"geom_power requires d >= 1, got {d}")
+        raise DomainError(f"geom_power requires d >= 1, got {d}")
     if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    if y[0] != 0:
-        raise ValueError("geom_power requires a zero constant term")
-    n = min(order, y.order)
-    if y.order != n:
-        y = TruncatedSeries(y.coeffs[: n + 1])
-    egf = _egf_int_vector(y)
-    if egf is not None:
-        u = [1] + [-e for e in egf[1:]]
-        p = backend.kernels.egf_recip(u)
-        if d > 1:
-            p = backend.kernels.egf_pow(p, d)
-        coeffs = []
-        f = 1
-        for m, e in enumerate(p):
-            if m:
-                f *= m
-            coeffs.append(Fraction(e, f))
-        return TruncatedSeries(coeffs)
-    inv = _reciprocal_unit(1 - y)
-    result = None
-    base = inv
-    e = d
-    while e:
-        if e & 1:
-            result = base if result is None else result * base
-        e >>= 1
-        if e:
-            base = base * base
-    return result
+        raise DomainError(f"order must be >= 0, got {order}")
+    if not y or y[0] != 0:
+        raise DomainError("geom_power requires a zero constant term")
+    n = min(order, len(y) - 1)
+    inverse = backend.kernels.egf_recip([1] + [-e for e in y[1 : n + 1]])
+    return tuple(backend.kernels.egf_pow(inverse, d))
 
 
-def egf_coeff(s: TruncatedSeries, n: int) -> Fraction:
-    """n! times the coefficient of z^n; callers wanting a count must check denominator == 1."""
-    if not 0 <= n <= s.order:
-        raise IndexError(f"coefficient index {n} beyond truncation order {s.order}")
-    return factorial(n) * s[n]
+def egf_coeff(s: Sequence[int], n: int) -> int:
+    """n! times the coefficient of z^n in the n!-scaled vector s, i.e. s[n]."""
+    if not 0 <= n < len(s):
+        raise IndexError(f"coefficient index {n} beyond truncation order {len(s) - 1}")
+    return s[n]

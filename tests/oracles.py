@@ -1,0 +1,186 @@
+"""Reference implementations the tests compare the package against.
+
+Deliberately naive and independent of the integer kernels they certify:
+
+* rational series are plain lists of Fractions, index n holding the
+  coefficient of z^n; products truncate to the shorter input;
+* ``egf_mul`` and ``egf_exp`` work on n!-scaled integer vectors straight
+  from the binomial-convolution definitions, with ``math.comb``;
+* ``CompositionCursor``, ``comp_sum`` and ``beta_direct`` enumerate weak
+  compositions as tuples and weight each with ``exact.multinomial``, apart
+  from ``comp_power_sum``'s in-place odometer and factorial tables.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import comb, factorial
+
+from lacasse.exact import ipow00, multinomial
+
+# --- rational series ------------------------------------------------------
+
+
+def to_fractions(egf) -> list[Fraction]:
+    """Ordinary coefficients of an n!-scaled integer vector."""
+    return [Fraction(e, factorial(n)) for n, e in enumerate(egf)]
+
+
+def to_egf(coeffs) -> list[int]:
+    """The n!-scaled integer vector of ordinary coefficients, which must be integral."""
+    out = []
+    for n, c in enumerate(coeffs):
+        v = Fraction(c) * factorial(n)
+        if v.denominator != 1:
+            raise ValueError(f"n! * coefficient {n} is not an integer: {v}")
+        out.append(v.numerator)
+    return out
+
+
+def one(order: int) -> list[Fraction]:
+    return [Fraction(1)] + [Fraction(0)] * order
+
+
+def z(order: int) -> list[Fraction]:
+    """The monomial z (the constant series 0 when order is 0)."""
+    return ([Fraction(0), Fraction(1)] + [Fraction(0)] * order)[: order + 1]
+
+
+def add(a: list, b: list) -> list[Fraction]:
+    """Coefficientwise sum, truncated to the shorter input."""
+    return [x + y for x, y in zip(a, b)]
+
+
+def mul(a: list, b: list) -> list[Fraction]:
+    """Cauchy product, truncated to the shorter input."""
+    n = min(len(a), len(b)) - 1
+    return [sum((a[j] * b[m - j] for j in range(m + 1)), Fraction(0)) for m in range(n + 1)]
+
+
+def exp_power_sum(a: list) -> list[Fraction]:
+    """The defining sum sum_{j=0..N} a^j / j! of a series with zero constant term."""
+    n = len(a) - 1
+    total = one(n)
+    power = one(n)
+    for j in range(1, n + 1):
+        power = mul(power, a)
+        total = add(total, [c / factorial(j) for c in power])
+    return total
+
+
+def exp_trunc(a: list) -> list[Fraction]:
+    """Exponential of a series with zero constant term, by the derivative recurrence.
+
+    g' = a'g gives g[m] = (1/m) * sum_{j=1..m} j a[j] g[m-j], the defining
+    power sum exactly in O(order^2) coefficient operations.
+    """
+    if a[0] != 0:
+        raise ValueError("exp_trunc requires a zero constant term")
+    n = len(a) - 1
+    g = one(n)
+    for m in range(1, n + 1):
+        acc = Fraction(0)
+        for j in range(1, m + 1):
+            if a[j]:
+                acc += j * a[j] * g[m - j]
+        g[m] = acc / m
+    return g
+
+
+def reciprocal_unit(a: list) -> list[Fraction]:
+    """b with a * b = 1, for a series with constant term 1."""
+    if a[0] != 1:
+        raise ValueError("reciprocal_unit requires constant term 1")
+    n = len(a) - 1
+    b = one(n)
+    for m in range(1, n + 1):
+        acc = Fraction(0)
+        for j in range(1, m + 1):
+            if a[j]:
+                acc += a[j] * b[m - j]
+        b[m] = -acc
+    return b
+
+
+# --- n!-scaled integer vectors --------------------------------------------
+
+
+def egf_mul(u: list, v: list) -> list[int]:
+    """Binomial convolution (EGF product), truncated to the shorter input."""
+    n = min(len(u), len(v)) - 1
+    if n < 0:
+        raise ValueError("egf_mul requires nonempty vectors")
+    return [sum(comb(m, j) * u[j] * v[m - j] for j in range(m + 1)) for m in range(n + 1)]
+
+
+def egf_exp(u: list) -> list[int]:
+    """EGF exponential of a vector whose constant term is 0."""
+    if not u or u[0] != 0:
+        raise ValueError("egf_exp requires constant term 0")
+    g = [1]
+    for m in range(1, len(u)):
+        g.append(sum(comb(m - 1, j - 1) * u[j] * g[m - j] for j in range(1, m + 1)))
+    return g
+
+
+# --- weak compositions ----------------------------------------------------
+
+
+class CompositionCursor:
+    """Iterator over the weak compositions of n into d parts.
+
+    Colex odometer order, starting from (n, 0, ..., 0) and ending at
+    (0, ..., 0, n); visits each of the C(n+d-1, d-1) compositions exactly
+    once.  ``current`` exposes the last tuple yielded.
+    """
+
+    def __init__(self, n: int, d: int):
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
+        if d < 1:
+            raise ValueError(f"d must be >= 1, got {d}")
+        self.n = n
+        self.d = d
+        self.current: tuple[int, ...] | None = None
+        self._exhausted = False
+
+    def __iter__(self) -> "CompositionCursor":
+        return self
+
+    def __next__(self) -> tuple[int, ...]:
+        if self._exhausted:
+            raise StopIteration
+        if self.current is None:
+            first = [0] * self.d
+            first[0] = self.n
+            self.current = tuple(first)
+            return self.current
+        state = list(self.current)
+        i = 0
+        while i < self.d and state[i] == 0:
+            i += 1
+        if i >= self.d - 1:
+            self._exhausted = True
+            raise StopIteration
+        v = state[i]
+        state[i] = 0
+        state[0] = v - 1
+        state[i + 1] += 1
+        self.current = tuple(state)
+        return self.current
+
+
+def comp_sum(n: int, d: int) -> int:
+    """Sum of multinomial(parts) * prod(k^k) over the weak d-part compositions of n."""
+    total = 0
+    for parts in CompositionCursor(n, d):
+        w = multinomial(parts)
+        for k in parts:
+            w *= ipow00(k, k)
+        total += w
+    return total
+
+
+def beta_direct(n: int) -> int:
+    """The definitional 3-part multinomial sum, enumerated composition by composition."""
+    return comp_sum(n, 3)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import lacasse
-from lacasse import cli, identity
+from lacasse import backend, cli, identity
 from lacasse.identity import VerificationReport, alpha_closed, beta_closed, ramanujan_q
 
 
@@ -246,6 +246,57 @@ def test_verify_route_disagreement_exit_code(monkeypatch, capsys):
     code, _, err = main_out(capsys, "verify", "--from", "3", "--to", "3")
     assert code == 1
     assert "verification failure" in err
+
+
+# --- verification failures injected into the real kernels -------------------
+
+
+def _off_by_one_at(fn, index):
+    def broken(*args):
+        out = fn(*args)
+        out[index] += 1
+        return out
+
+    return broken
+
+
+def test_verify_brute_fault_names_route_and_n(monkeypatch, capsys):
+    real = backend.kernels.comp_power_sum
+    monkeypatch.setattr(
+        backend.kernels, "comp_power_sum", lambda n, d: real(n, d) + (n == 5)
+    )
+    code, _, err = main_out(capsys, "verify", "--from", "1", "--to", "8")
+    assert code == 1
+    assert "verification failure" in err
+    assert "'brute'" in err and "beta(5)" in err
+
+
+def test_verify_series_fault_names_route(monkeypatch, capsys):
+    monkeypatch.setattr(
+        backend.kernels, "egf_pow", _off_by_one_at(backend.kernels.egf_pow, 4)
+    )
+    code, _, err = main_out(capsys, "verify", "--from", "1", "--to", "8")
+    assert code == 1
+    assert "'series'" in err and "alpha(4)" in err
+
+
+def test_verify_tree_fault_is_consistency_failure(monkeypatch, capsys):
+    monkeypatch.setattr(
+        backend.kernels, "tree_egf", _off_by_one_at(backend.kernels.tree_egf, 3)
+    )
+    code, _, err = main_out(capsys, "verify", "--from", "1", "--to", "8")
+    assert code == 1
+    assert "verification failure: tree series constructions disagree at z^3" in err
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch, capsys):
+    # only DomainError means bad input; any other ValueError is a fault
+    def boom(order):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(backend.kernels, "tree_egf", boom)
+    with pytest.raises(ValueError, match="internal fault"):
+        cli.main(["series", "tree", "--order", "3"])
 
 
 def test_verify_csv_format(capsys):

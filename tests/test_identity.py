@@ -1,17 +1,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lacasse import identity
-from lacasse.exact import binomial
+from lacasse.exact import DomainError, binomial
 from lacasse.identity import (
-    CompositionCursor,
     IdentityFailureError,
     RouteDisagreementError,
     alpha_closed,
     alpha_direct,
     beta_closed,
-    beta_direct,
     brute_force_admitted,
     ramanujan_q,
     s_d_closed,
@@ -23,6 +23,7 @@ from lacasse.identity import (
     xi_scaled_brute,
 )
 from lacasse.series import egf_coeff, geom_power, tree_series
+from oracles import CompositionCursor, beta_direct
 
 F = Fraction
 
@@ -49,9 +50,9 @@ def test_alpha_routes_agree_midrange():
 
 
 def test_alpha_rejects_negative():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         alpha_direct(-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         alpha_closed(-1)
 
 
@@ -108,14 +109,27 @@ def test_s_d_strictly_increasing_in_d():
             assert s_d_closed(n, d + 1) > s_d_closed(n, d)
 
 
+@given(data=st.data(), n=st.integers(min_value=0, max_value=60))
+@settings(deadline=None)
+def test_s_d_knuth_pittel_convolution(data, n):
+    # s_d(n) are the Knuth-Pittel tree polynomials t_n(d), so
+    # s_{a+b}(n) = sum_k C(n,k) s_a(k) s_b(n-k); needs no enumeration
+    a = data.draw(st.integers(min_value=1, max_value=7), label="a")
+    b = data.draw(st.integers(min_value=1, max_value=8 - a), label="b")
+    want = sum(
+        binomial(n, k) * s_d_closed(k, a) * s_d_closed(n - k, b) for k in range(n + 1)
+    )
+    assert s_d_closed(n, a + b) == want
+
+
 def test_s_d_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         s_d_closed(-1, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         s_d_closed(3, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         xi_scaled_brute(-1, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         xi_scaled_brute(3, 0)
 
 
@@ -141,9 +155,9 @@ def test_xi_identity_form():
 
 
 def test_xi_rejects_zero():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         xi(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         xi2(0)
 
 
@@ -163,7 +177,7 @@ def test_telescoping_equals_power_midrange():
 
 
 def test_telescoping_rejects_negative():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         telescoping_difference(-1)
 
 
@@ -184,7 +198,7 @@ def test_ramanujan_q_alpha_link_midrange():
 
 
 def test_ramanujan_q_rejects_zero():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         ramanujan_q(0)
 
 
@@ -240,9 +254,9 @@ def test_verify_examples():
 
 
 def test_verify_rejects_bad_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         verify_lacasse(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         verify_lacasse(3, routes=("closed", "magic"))
 
 
@@ -294,11 +308,11 @@ def test_verify_range_ordering_and_contents():
 
 
 def test_verify_range_invalid():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         verify_range(5, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         verify_range(0, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         verify_range(1, 3, jobs=0)
 
 

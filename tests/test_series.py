@@ -5,186 +5,140 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lacasse import _kernels_py, backend
-from lacasse.exact import factorial
-from lacasse.series import (
-    ConsistencyError,
-    TruncatedSeries,
+from lacasse.exact import DomainError, factorial
+from lacasse.series import ConsistencyError, egf_coeff, geom_power, tree_series
+from oracles import (
     add,
-    egf_coeff,
+    exp_power_sum,
     exp_trunc,
-    geom_power,
     mul,
-    tree_series,
+    one,
+    reciprocal_unit,
+    to_egf,
+    to_fractions,
+    z,
 )
 
 F = Fraction
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=12)
-series_st = st.lists(fracs, min_size=1, max_size=13).map(TruncatedSeries)
+series_st = st.lists(fracs, min_size=1, max_size=13)
 
 
-# --- construction ---------------------------------------------------------
-
-
-def test_constructor_pads_to_order():
-    s = TruncatedSeries([1, 2], order=4)
-    assert s.order == 4
-    assert s.coeffs == (F(1), F(2), F(0), F(0), F(0))
-
-
-def test_constructor_rejects_overflowing_coeffs():
-    with pytest.raises(ValueError):
-        TruncatedSeries([1, 2, 3], order=1)
-
-
-def test_constructor_rejects_floats():
-    with pytest.raises(TypeError):
-        TruncatedSeries([0.5])
+def _egf_z(order: int) -> tuple[int, ...]:
+    # the monomial z as an n!-scaled vector
+    return tuple(1 if m == 1 else 0 for m in range(order + 1))
 
 
 def test_constructor_rejects_negative_order_and_empty():
-    with pytest.raises(ValueError):
-        TruncatedSeries([1], order=-1)
-    with pytest.raises(ValueError):
-        TruncatedSeries([])
+    # tree_series and geom_power are the only ways the package builds a series
+    with pytest.raises(DomainError):
+        tree_series(-1)
+    with pytest.raises(DomainError):
+        geom_power(tree_series(2), 2, -1)
+    with pytest.raises(DomainError):
+        geom_power((), 2, 0)
 
 
 def test_indexing_bounds():
-    s = TruncatedSeries([1, 2, 3])
-    assert s[2] == 3
+    s = tree_series(2)
+    assert egf_coeff(s, 2) == 2
     with pytest.raises(IndexError):
-        s[3]
+        egf_coeff(s, 3)
     with pytest.raises(IndexError):
-        s[-1]
+        egf_coeff(s, -1)
 
 
-# --- add ------------------------------------------------------------------
+# --- the rational oracle arithmetic the checks below lean on --------------
 
 
 def test_add_examples():
-    one_plus = TruncatedSeries([1, 1])
-    one_minus = TruncatedSeries([1, -1])
-    assert (one_plus + one_minus).coeffs == (F(2), F(0))
-    a = TruncatedSeries([3, F(1, 2), 7])
-    assert add(a, TruncatedSeries.zero(2)) == a
-    left = TruncatedSeries([0, 1, 1])   # z + z^2
-    right = TruncatedSeries([0, 0, 1])  # z^2
-    assert (left + right).coeffs == (F(0), F(1), F(2))
+    assert add([1, 1], [1, -1]) == [2, 0]
+    a = [F(3), F(1, 2), F(7)]
+    assert add(a, [0, 0, 0]) == a
+    assert add([0, 1, 1], [0, 0, 1]) == [0, 1, 2]  # (z + z^2) + z^2
 
 
 def test_add_truncates_to_smaller_order():
-    a = TruncatedSeries([1, 1, 1, 1, 1])
-    b = TruncatedSeries([1, 1])
-    assert (a + b).order == 1
-    assert (a - b).order == 1
-    assert (a * b).order == 1
-
-
-def test_scalar_coercion():
-    y = TruncatedSeries([0, 1, 5], order=4)
-    assert (1 - y).coeffs == (F(1), F(-1), F(-5), F(0), F(0))
-    assert (y + 1)[0] == 1
-    assert (2 * y)[2] == 10
-
-
-# --- mul ------------------------------------------------------------------
+    a = [F(1)] * 5
+    b = [F(1)] * 2
+    assert len(add(a, b)) == 2
+    assert len(mul(a, b)) == 2
 
 
 def test_mul_examples():
-    one_plus = TruncatedSeries([1, 1], order=2)
-    one_minus = TruncatedSeries([1, -1], order=2)
-    assert (one_plus * one_minus).coeffs == (F(1), F(0), F(-1))
-    a = TruncatedSeries([2, F(3, 7), 1])
-    assert mul(a, TruncatedSeries.one(2)) == a
+    assert mul([1, 1, 0], [1, -1, 0]) == [1, 0, -1]
+    a = [F(2), F(3, 7), F(1)]
+    assert mul(a, one(2)) == a
 
 
 def test_mul_geometric_series_oracle():
     # 1/(1-z) is all-ones; multiplying back by (1-z) must give 1
-    geometric = TruncatedSeries([1] * 6)
-    one_minus_z = TruncatedSeries([1, -1], order=5)
-    assert geometric * one_minus_z == TruncatedSeries.one(5)
+    assert mul([F(1)] * 6, [F(1), F(-1), 0, 0, 0, 0]) == one(5)
 
 
 @given(a=series_st, b=series_st)
 def test_mul_commutes(a, b):
-    assert a * b == b * a
+    assert mul(a, b) == mul(b, a)
 
 
 @given(a=series_st, b=series_st, c=series_st)
 @settings(deadline=None)
 def test_mul_associates(a, b, c):
-    assert (a * b) * c == a * (b * c)
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
 
 
 @given(a=series_st, b=series_st, c=series_st)
 @settings(deadline=None)
 def test_mul_distributes_over_add(a, b, c):
-    assert a * (b + c) == a * b + a * c
-
-
-# --- exp ------------------------------------------------------------------
-
-
-def _exp_powers_oracle(a: TruncatedSeries) -> TruncatedSeries:
-    # the defining sum: sum_{j=0..N} a^j / j!
-    total = TruncatedSeries.one(a.order)
-    power = TruncatedSeries.one(a.order)
-    fact = 1
-    for j in range(1, a.order + 1):
-        power = power * a
-        fact *= j
-        total = total + TruncatedSeries([c / fact for c in power.coeffs])
-    return total
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
 
 
 def test_exp_examples():
-    assert exp_trunc(TruncatedSeries.zero(4)) == TruncatedSeries.one(4)
-    assert exp_trunc(TruncatedSeries.z(3)).coeffs == (F(1), F(1), F(1, 2), F(1, 6))
-    bumpy = TruncatedSeries([0, 1, 1], order=2)  # z + z^2
-    assert exp_trunc(bumpy)[2] == F(3, 2)  # from (z+z^2) + (z+z^2)^2/2
+    assert exp_trunc([F(0)] * 5) == one(4)
+    assert exp_trunc(z(3)) == [1, 1, F(1, 2), F(1, 6)]
+    assert exp_trunc([F(0), F(1), F(1)])[2] == F(3, 2)  # (z+z^2) + (z+z^2)^2/2
 
 
 def test_exp_rejects_nonzero_constant_term():
     with pytest.raises(ValueError):
-        exp_trunc(TruncatedSeries([1, 1]))
+        exp_trunc([F(1), F(1)])
 
 
 @given(a=series_st)
 @settings(deadline=None, max_examples=40)
 def test_exp_matches_power_sum_oracle(a):
-    a = TruncatedSeries([0] + list(a.coeffs[1:]))
-    assert exp_trunc(a) == _exp_powers_oracle(a)
+    a = [F(0)] + a[1:]
+    assert exp_trunc(a) == exp_power_sum(a)
 
 
 @given(a=series_st, b=series_st)
 @settings(deadline=None, max_examples=40)
 def test_exp_is_multiplicative(a, b):
-    a = TruncatedSeries([0] + list(a.coeffs[1:]))
-    b = TruncatedSeries([0] + list(b.coeffs[1:]))
-    n = min(a.order, b.order)
-    a = TruncatedSeries(a.coeffs[: n + 1])
-    b = TruncatedSeries(b.coeffs[: n + 1])
-    assert exp_trunc(a + b) == exp_trunc(a) * exp_trunc(b)
+    n = min(len(a), len(b))
+    a = [F(0)] + a[1:n]
+    b = [F(0)] + b[1:n]
+    assert exp_trunc(add(a, b)) == mul(exp_trunc(a), exp_trunc(b))
 
 
 # --- tree_series ----------------------------------------------------------
 
 
 def test_tree_series_examples():
-    t = tree_series(4)
-    assert t.coeffs == (F(0), F(1), F(1), F(3, 2), F(8, 3))
-    assert tree_series(0) == TruncatedSeries([0])
-    assert tree_series(5)[5] == F(125, 24)  # 5^4/5! = 625/120
+    assert tree_series(4) == (0, 1, 2, 9, 64)
+    assert tree_series(0) == (0,)
+    assert tree_series(5)[5] == 625  # 5^4
+    assert to_fractions(tree_series(4)) == [0, 1, 1, F(3, 2), F(8, 3)]
 
 
 def test_tree_series_rejects_negative_order():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         tree_series(-1)
 
 
 def test_tree_series_satisfies_functional_equation():
-    y = tree_series(60)
-    assert TruncatedSeries.z(60) * exp_trunc(y) == y
+    y = to_fractions(tree_series(60))
+    assert mul(z(60), exp_trunc(y)) == y
 
 
 def test_tree_series_coefficients_are_cayley_counts():
@@ -213,86 +167,84 @@ def test_tree_series_consistency_guard(monkeypatch):
 def test_geom_power_tree_d1_coefficients():
     # 1/(1-y) = sum n^n z^n / n!: 1, 1, 2, 9/2, 32/3
     s = geom_power(tree_series(4), 1, 4)
-    assert s.coeffs == (F(1), F(1), F(2), F(9, 2), F(32, 3))
+    assert s == (1, 1, 4, 27, 256)
+    assert to_fractions(s) == [1, 1, 2, F(9, 2), F(32, 3)]
 
 
 def test_geom_power_of_zero_is_one():
     for d in (1, 2, 5):
-        assert geom_power(TruncatedSeries.zero(3), d, 3) == TruncatedSeries.one(3)
+        assert geom_power((0, 0, 0, 0), d, 3) == (1, 0, 0, 0)
 
 
 def test_geom_power_of_z_d2_is_arithmetic_series():
     # 1/(1-z)^2 = sum (k+1) z^k
-    s = geom_power(TruncatedSeries.z(6), 2, 6)
-    assert s.coeffs == tuple(F(k + 1) for k in range(7))
+    s = geom_power(_egf_z(6), 2, 6)
+    assert to_fractions(s) == [k + 1 for k in range(7)]
 
 
-def test_geom_power_rational_path_matches_geometric_oracle():
-    # y = z/2 has non-integral EGF entries: 1/(1-z/2)^2 = sum (k+1) z^k / 2^k
-    y = TruncatedSeries([0, F(1, 2)], order=6)
-    s = geom_power(y, 2, 6)
-    assert s.coeffs == tuple(F(k + 1, 2**k) for k in range(7))
-
-
-def _geom_sum_oracle(y: TruncatedSeries, d: int) -> TruncatedSeries:
+def _geom_sum_oracle(y: list, d: int) -> list:
     # 1/(1-y) as the plain truncated sum of y^k (y has valuation >= 1),
     # then d-fold repeated multiplication
-    total = TruncatedSeries.one(y.order)
-    power = TruncatedSeries.one(y.order)
-    for _ in range(y.order):
-        power = power * y
-        total = total + power
+    order = len(y) - 1
+    total = one(order)
+    power = one(order)
+    for _ in range(order):
+        power = mul(power, y)
+        total = add(total, power)
     result = total
     for _ in range(d - 1):
-        result = result * total
+        result = mul(result, total)
     return result
 
 
 def test_geom_power_matches_geometric_sum_oracle():
-    tree = tree_series(12)
-    half_z = TruncatedSeries([0, F(1, 2)], order=8)  # rational fallback path
-    for y in (tree, half_z):
+    for y in (tree_series(12), _egf_z(8)):
         for d in range(1, 4):
-            assert geom_power(y, d, y.order) == _geom_sum_oracle(y, d)
+            want = _geom_sum_oracle(to_fractions(y), d)
+            assert to_fractions(geom_power(y, d, len(y) - 1)) == want
 
 
 def test_geom_power_inversion_invariant():
-    y = tree_series(50)
-    inv = geom_power(y, 1, 50)
-    assert inv * (1 - y) == TruncatedSeries.one(50)
+    y = to_fractions(tree_series(50))
+    inv = to_fractions(geom_power(tree_series(50), 1, 50))
+    assert mul(inv, add(one(50), [-c for c in y])) == one(50)
+    assert inv == reciprocal_unit(add(one(50), [-c for c in y]))
 
 
 def test_geom_power_consistency_with_repeated_mul():
     y = tree_series(25)
-    base = geom_power(y, 1, 25)
+    base = to_fractions(geom_power(y, 1, 25))
     acc = base
     for d in range(2, 5):
-        acc = acc * base
-        assert geom_power(y, d, 25) == acc
+        acc = mul(acc, base)
+        assert to_fractions(geom_power(y, d, 25)) == acc
 
 
 def test_geom_power_egf_integrality():
-    y = tree_series(40)
+    # the rational oracle's n! [z^n] of every power is an integer, and the
+    # integer route returns exactly those integers
+    y = to_fractions(tree_series(40))
+    inv = reciprocal_unit(add(one(40), [-c for c in y]))
+    power = one(40)
     for d in range(1, 6):
-        s = geom_power(y, d, 40)
-        for n in range(41):
-            assert egf_coeff(s, n).denominator == 1
+        power = mul(power, inv)
+        assert to_egf(power) == list(geom_power(tree_series(40), d, 40))
 
 
 def test_geom_power_validation():
     y = tree_series(4)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         geom_power(y, 0, 4)
-    with pytest.raises(ValueError):
-        geom_power(TruncatedSeries([1, 1]), 2, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
+        geom_power((1, 1), 2, 1)
+    with pytest.raises(DomainError):
         geom_power(y, 2, -1)
 
 
 def test_geom_power_truncates_to_min_order():
     y = tree_series(10)
-    assert geom_power(y, 2, 4).order == 4
-    assert geom_power(y, 2, 99).order == 10
+    assert len(geom_power(y, 2, 4)) == 5
+    assert len(geom_power(y, 2, 99)) == 11
 
 
 # --- egf_coeff ------------------------------------------------------------
@@ -302,8 +254,7 @@ def test_egf_coeff_examples():
     t = tree_series(3)
     assert egf_coeff(geom_power(t, 2, 2), 2) == 10  # alpha(2)
     assert egf_coeff(geom_power(t, 1, 3), 3) == 27  # 3^3
-    s = TruncatedSeries([F(7, 3), 1])
-    assert egf_coeff(s, 0) == s[0]
+    assert egf_coeff((7, 1), 0) == 7
 
 
 def test_egf_coeff_beyond_order():
@@ -312,6 +263,7 @@ def test_egf_coeff_beyond_order():
 
 
 def test_egf_coeff_scales_by_factorial():
-    s = TruncatedSeries([1, 1, F(1, 2), F(1, 6), F(1, 24)])
-    for n in range(5):
-        assert egf_coeff(s, n) == factorial(n) * s[n]
+    s = geom_power(tree_series(8), 3, 8)
+    coeffs = _geom_sum_oracle(to_fractions(tree_series(8)), 3)
+    for n in range(9):
+        assert egf_coeff(s, n) == factorial(n) * coeffs[n]
