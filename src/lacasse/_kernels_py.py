@@ -40,21 +40,6 @@ def _mul(u: list, v: list, rows: list, n: int) -> list:
     return out
 
 
-def _exp(u: list, rows: list, n: int) -> list:
-    # g[0] = 1, g[m] = sum_{j>=1} C(m-1, j-1) u[j] g[m-j]
-    g = [0] * (n + 1)
-    g[0] = 1
-    for m in range(1, n + 1):
-        row = rows[m - 1]
-        acc = 0
-        for j in range(1, m + 1):
-            uj = u[j]
-            if uj:
-                acc += row[j - 1] * uj * g[m - j]
-        g[m] = acc
-    return g
-
-
 def egf_recip(u: list) -> list:
     """EGF reciprocal of a vector whose constant term is 1."""
     if not u or u[0] != 1:
@@ -92,66 +77,63 @@ def egf_pow(u: list, d: int) -> list:
 
 
 def tree_egf(order: int) -> list:
-    """EGF integers of the tree function via the fixed point y <- z*exp(y).
+    """EGF integers of the tree function, solving y = z*exp(y) online.
 
-    Runs order+1 full reassignment passes.  Pass p is evaluated at
-    truncation order min(p, order): coefficients through p-1 are already
-    exact going in, so the pass can only fix coefficient p and everything
-    above min(p, order) would be discarded anyway.
+    With g = exp(y), the z-shift reads y[m] = m * g[m-1], and g' = y'g
+    gives g[m] = sum_{j=1..m} C(m-1, j-1) y[j] g[m-j], which needs y only
+    through index m.  So one pass alternates the two: read y[m] off g, then
+    extend g by one coefficient.  O(order^2) products (the relaxed solve of
+    Brent & Kung, JACM 1978, and van der Hoeven, JSC 2002).
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     rows = pascal_rows(max(order - 1, 0))
     y = [0] * (order + 1)
-    for p in range(1, order + 2):
-        m = min(p, order)
-        if m == 0:
-            continue
-        g = _exp(y, rows, m - 1)
-        # z-shift in EGF terms: coefficient k of z*s is k * (EGF of s at k-1)
-        for k in range(1, m + 1):
-            y[k] = k * g[k - 1]
+    g = [1]
+    for m in range(1, order + 1):
+        y[m] = m * g[m - 1]
+        if m < order:
+            row = rows[m - 1]
+            acc = 0
+            for j in range(1, m + 1):
+                acc += row[j - 1] * y[j] * g[m - j]
+            g.append(acc)
     return y
 
 
 def comp_power_sum(n: int, d: int) -> int:
     """Sum of multinomial(parts) * prod(k_i^k_i) over weak compositions of n into d parts.
 
-    Deliberately a dumb enumeration (the oracle for the closed forms): a
-    colex odometer visits each of the C(n+d-1, d-1) compositions once and
-    each term is computed from factorial and k^k tables, 0^0 == 1.
+    Deliberately a plain enumeration (the oracle for the closed forms):
+    each of the C(n+d-1, d-1) compositions contributes exactly one term,
+    and no partial sum is shared between compositions.  The multinomial is
+    a product of Pascal-row binomials taken part by part: a part j of the
+    r still to place contributes C(r, j) * j^j, multiplied once into the
+    factor that every composition under it shares.  The last two parts
+    (j, r - j) add C(r, j) * j^j * (r-j)^(r-j) each.  0^0 == 1.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    if n == 0:
-        return 1
-    fact = [1] * (n + 1)
-    powt = [1] * (n + 1)
-    f = 1
-    for k in range(1, n + 1):
-        f *= k
-        fact[k] = f
-        powt[k] = k**k
-    nf = fact[n]
-    comp = [0] * d
-    comp[0] = n
+    powt = [k**k for k in range(n + 1)]
+    if d == 1:
+        return powt[n]
+    rows = pascal_rows(n)
     total = 0
-    while True:
-        den = 1
-        w = 1
-        for ki in comp:
-            den *= fact[ki]
-            w *= powt[ki]
-        total += (nf // den) * w
-        i = 0
-        while comp[i] == 0:
-            i += 1
-        if i == d - 1:
-            break
-        v = comp[i]
-        comp[i] = 0
-        comp[0] = v - 1
-        comp[i + 1] += 1
+    # depth first over the leading d - 2 parts, without recursion (d is not
+    # bounded by the recursion limit): (left to place, parts left, factor)
+    todo = [(n, d, 1)]
+    while todo:
+        r, parts, f = todo.pop()
+        if r == 0:  # the one composition whose remaining parts are all 0
+            total += f
+            continue
+        row = rows[r]
+        if parts == 2:
+            tail = reversed(powt[: r + 1])  # (r-j)^(r-j) for j = 0..r
+            total += f * sum(c * (p * q) for c, p, q in zip(row, powt, tail))
+        else:
+            for j in range(r + 1):
+                todo.append((r - j, parts - 1, f * row[j] * powt[j]))
     return total

@@ -5,7 +5,8 @@ range, machine-readable, parallelizable), ``series`` (coefficient tables),
 ``bench`` (route timings).
 
 Exit codes: 0 success, 1 verification failure (an arithmetic bug, the
-identity being a theorem), 2 usage or domain error.  Exact values print as
+identity being a theorem), 2 usage or domain error, 70 (EX_SOFTWARE) an
+internal fault that escaped ``main``.  Exact values print as
 full decimal strings, rationals as p/q; never scientific notation.
 """
 
@@ -17,6 +18,7 @@ import json
 import statistics
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -28,6 +30,7 @@ from .exact import DomainError
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
+EXIT_CRASH = 70
 
 FORMATS = ("plain", "json", "csv")
 VALUE_QUANTITIES = ("alpha", "beta", "s_d", "q", "xi", "xi2", "diff")
@@ -328,7 +331,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def main_entry() -> None:
-    sys.exit(main())
+    # a crash must not exit 1, which means the identity check failed
+    try:
+        code = main()
+    except Exception:
+        traceback.print_exc()
+        code = EXIT_CRASH
+    sys.exit(code)
 
 
 if __name__ == "__main__":

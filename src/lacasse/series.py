@@ -35,8 +35,8 @@ def tree_series(order: int) -> tuple[int, ...]:
 
     Returns (0, 1, 2, 9, 64, ...): entry n is n^(n-1), the number of rooted
     labeled trees on n vertices.  Built two independent ways on every call:
-    the explicit formula and the fixed point y <- z * exp(y) iterated
-    order+1 times.  A mismatch raises ConsistencyError, since every
+    the explicit formula and the recurrence solving y = z * exp(y) one
+    coefficient at a time.  A mismatch raises ConsistencyError, since every
     downstream result leans on this series.
     """
     if order < 0:

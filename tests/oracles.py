@@ -6,9 +6,11 @@ Deliberately naive and independent of the integer kernels they certify:
   coefficient of z^n; products truncate to the shorter input;
 * ``egf_mul`` and ``egf_exp`` work on n!-scaled integer vectors straight
   from the binomial-convolution definitions, with ``math.comb``;
+* ``tree_fixed_point`` is the plain fixed-point iteration of y = z*exp(y)
+  on ``egf_exp``, against ``tree_egf``'s online solve;
 * ``CompositionCursor``, ``comp_sum`` and ``beta_direct`` enumerate weak
   compositions as tuples and weight each with ``exact.multinomial``, apart
-  from ``comp_power_sum``'s in-place odometer and factorial tables.
+  from ``comp_power_sum``'s Pascal-row products.
 """
 
 from __future__ import annotations
@@ -121,6 +123,25 @@ def egf_exp(u: list) -> list[int]:
     for m in range(1, len(u)):
         g.append(sum(comb(m - 1, j - 1) * u[j] * g[m - j] for j in range(1, m + 1)))
     return g
+
+
+def tree_fixed_point(order: int) -> list[int]:
+    """EGF integers of the tree function by order+1 passes of y <- z*exp(y).
+
+    Pass p is evaluated at truncation order min(p, order): coefficients
+    through p-1 are already exact going in, so the pass can only fix
+    coefficient p.  O(order^3) products.
+    """
+    y = [0] * (order + 1)
+    for p in range(1, order + 2):
+        m = min(p, order)
+        if m == 0:
+            continue
+        g = egf_exp(y[:m])
+        # z-shift in EGF terms: coefficient k of z*s is k * (EGF of s at k-1)
+        for k in range(1, m + 1):
+            y[k] = k * g[k - 1]
+    return y
 
 
 # --- weak compositions ----------------------------------------------------

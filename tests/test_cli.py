@@ -299,6 +299,19 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch, capsys):
         cli.main(["series", "tree", "--order", "3"])
 
 
+def test_entry_point_exits_70_on_internal_fault(monkeypatch, capsys):
+    def boom(order):
+        raise RuntimeError("internal fault")
+
+    monkeypatch.setattr(backend.kernels, "tree_egf", boom)
+    monkeypatch.setattr(sys, "argv", ["lacasse", "series", "tree", "--order", "3"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main_entry()
+    assert exc.value.code == 70
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: internal fault" in err
+
+
 def test_verify_csv_format(capsys):
     code, out, _ = main_out(
         capsys, "verify", "--from", "2", "--to", "3", "--format", "csv"

@@ -5,6 +5,7 @@ and definitional sums, independent of the integer convolutions they
 certify.
 """
 
+import gc
 from math import comb
 
 import pytest
@@ -12,7 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lacasse import _kernels_py, backend
-from oracles import comp_sum, egf_exp, egf_mul, exp_power_sum, mul, to_egf, to_fractions
+from oracles import (
+    comp_sum,
+    egf_exp,
+    egf_mul,
+    exp_power_sum,
+    mul,
+    to_egf,
+    to_fractions,
+    tree_fixed_point,
+)
 
 int_vectors = st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=10)
 
@@ -86,6 +96,18 @@ def test_tree_egf_satisfies_functional_equation(kernels):
         assert y[k] == k * g[k - 1]
 
 
+def test_tree_egf_matches_fixed_point_oracle(kernels):
+    for k in range(81):
+        assert kernels.tree_egf(k) == tree_fixed_point(k)
+
+
+def test_tree_egf_matches_formula_at_large_order(kernels):
+    y = kernels.tree_egf(300)
+    assert y[0] == 0
+    for n in range(1, 301):
+        assert y[n] == n ** (n - 1)
+
+
 def test_tree_egf_rejects_negative(kernels):
     with pytest.raises(ValueError):
         kernels.tree_egf(-1)
@@ -99,9 +121,28 @@ def test_comp_power_sum_examples(kernels):
 
 
 def test_comp_power_sum_matches_cursor_oracle(kernels):
-    for d in range(1, 5):
-        for n in range(11):
+    for d in range(1, 7):
+        for n in range(13):
             assert kernels.comp_power_sum(n, d) == comp_sum(n, d)
+
+
+def test_comp_power_sum_part_count_beyond_recursion_limit(kernels):
+    # n = 1 has d compositions, one 1 among zeros, each of weight 1
+    assert kernels.comp_power_sum(1, 3000) == 3000
+    assert kernels.comp_power_sum(0, 3000) == 1
+
+
+def test_kernels_leave_no_reference_cycles(kernels):
+    # a cycle keeps a call's Pascal table alive until the cyclic collector
+    # runs, which shows up as peak RSS in a sweep of calls
+    gc.disable()
+    try:
+        gc.collect()
+        kernels.comp_power_sum(40, 4)
+        kernels.tree_egf(40)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_comp_power_sum_validation(kernels):
