@@ -8,15 +8,7 @@ function on [0, 1/e) and Ramanujan's Q-function growth.
 """
 
 from .approx import QGrowthRow, TreeEvalResult, q_float, q_growth_check, tree_eval
-from .exact import (
-    DomainError,
-    ExactInt,
-    ExactRational,
-    binomial,
-    factorial,
-    ipow00,
-    multinomial,
-)
+from .exact import DomainError
 from .identity import (
     ALL_ROUTES,
     DEFAULT_BRUTE_CUTOFF,
@@ -45,8 +37,6 @@ __all__ = [
     "DEFAULT_BRUTE_CUTOFF",
     "ConsistencyError",
     "DomainError",
-    "ExactInt",
-    "ExactRational",
     "IdentityFailureError",
     "QGrowthRow",
     "RouteDisagreementError",
@@ -55,13 +45,9 @@ __all__ = [
     "alpha_closed",
     "alpha_direct",
     "beta_closed",
-    "binomial",
     "brute_force_admitted",
     "egf_coeff",
-    "factorial",
     "geom_power",
-    "ipow00",
-    "multinomial",
     "q_float",
     "q_growth_check",
     "ramanujan_q",

@@ -172,7 +172,7 @@ def cmd_series(args) -> int:
         label, d, s = "tree", None, tree
     else:
         label, d = "geom", args.d
-        s = series_mod.geom_power(tree, args.d, order)
+        s = series_mod.geom_power(tree, args.d)
     records = []
     plain_lines = []
     f = 1  # m!, the only division out of the n!-scaled vector
@@ -210,7 +210,7 @@ def cmd_bench(args) -> int:
 
     def run_series():
         t = series_mod.tree_series(n_max)
-        p = series_mod.geom_power(t, d, n_max)
+        p = series_mod.geom_power(t, d)
         return [series_mod.egf_coeff(p, n) for n in range(1, n_max + 1)]
 
     def run_brute():

@@ -19,10 +19,11 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from . import backend
 from . import series as _series
-from .exact import DomainError, binomial, ipow00
+from .exact import DomainError
 from .series import ConsistencyError
 
 __all__ = [
@@ -103,56 +104,39 @@ def alpha_direct(n: int) -> int:
     """The definitional sum sum_k C(n,k) k^k (n-k)^(n-k)."""
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
-    return sum(
-        binomial(n, k) * ipow00(k, k) * ipow00(n - k, n - k) for k in range(n + 1)
-    )
+    return sum(comb(n, k) * k**k * (n - k) ** (n - k) for k in range(n + 1))
 
 
 def alpha_closed(n: int) -> int:
-    """alpha(n) = sum_k (n!/k!) n^k, accumulated as falling factorials (no division)."""
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
-    powers = _powers(n, n)
-    total = 0
-    ff = 1  # n!/k! while k runs n down to 0
-    for k in range(n, -1, -1):
-        total += ff * powers[k]
-        ff *= k
-    return total
+    """alpha(n) = sum_k (n!/k!) n^k, the d = 2 case of s_d_closed."""
+    return s_d_closed(n, 2)
 
 
 def beta_closed(n: int) -> int:
-    """beta(n) = sum_k (n!/k!) (n+1-k) n^k, falling-factorial accumulation."""
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
-    powers = _powers(n, n)
-    total = 0
-    ff = 1
-    for k in range(n, -1, -1):
-        total += ff * (n + 1 - k) * powers[k]
-        ff *= k
-    return total
+    """beta(n) = sum_k (n!/k!) (n+1-k) n^k, the d = 3 case of s_d_closed."""
+    return s_d_closed(n, 3)
 
 
 def s_d_closed(n: int, d: int) -> int:
     """n! [z^n] (1/(1-y))^d as a finite sum, for the tree function y.
 
     The weight C(n-j+d-2, d-2) on the j-th term is the coefficient of
-    y^(n-j) in 1/(1-y)^(d-1): d=2 and d=3 reduce to the alpha and beta
-    closed forms, and d=1 degenerates to n^n (empty geometric factor,
-    weight [j == n]).
+    y^(n-j) in 1/(1-y)^(d-1): d=2 and d=3 give the alpha and beta
+    closed forms (weights 1 and n+1-j), and d=1 degenerates to n^n
+    (empty geometric factor, weight [j == n]).  The n!/j! factors are
+    accumulated as falling factorials, so nothing is divided.
     """
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d}")
     if d == 1:
-        return ipow00(n, n)
+        return n**n
     powers = _powers(n, n)
     total = 0
-    ff = 1
+    ff = 1  # n!/j! while j runs n down to 0
     for j in range(n, -1, -1):
-        total += ff * binomial(n - j + d - 2, d - 2) * powers[j]
+        total += ff * comb(n - j + d - 2, d - 2) * powers[j]
         ff *= j
     return total
 
@@ -250,7 +234,11 @@ def ramanujan_q(n: int) -> Fraction:
 
 def brute_force_admitted(n: int, d: int, cutoff: int = DEFAULT_BRUTE_CUTOFF) -> bool:
     """True when the d-part enumeration of n stays within the term cutoff."""
-    return binomial(n + d - 1, d - 1) <= cutoff
+    if n < 0:
+        raise DomainError(f"n must be >= 0, got {n}")
+    if d < 1:
+        raise DomainError(f"d must be >= 1, got {d}")
+    return comb(n + d - 1, d - 1) <= cutoff
 
 
 def _normalize_routes(routes) -> tuple[str, ...]:
@@ -272,8 +260,8 @@ def _require_agreement(n: int, quantity: str, values: dict[str, int]) -> None:
 
 def _series_alpha_beta(n: int) -> tuple[int, int]:
     t = _series.tree_series(n)
-    a = _series.egf_coeff(_series.geom_power(t, 2, n), n)
-    b = _series.egf_coeff(_series.geom_power(t, 3, n), n)
+    a = _series.egf_coeff(_series.geom_power(t, 2), n)
+    b = _series.egf_coeff(_series.geom_power(t, 3), n)
     return a, b
 
 
@@ -351,8 +339,8 @@ def verify_range(
     series_values: dict[int, tuple[int, int]] = {}
     if "series" in requested:
         t = _series.tree_series(last)
-        s2 = _series.geom_power(t, 2, last)
-        s3 = _series.geom_power(t, 3, last)
+        s2 = _series.geom_power(t, 2)
+        s3 = _series.geom_power(t, 3)
         for n in range(first, last + 1):
             series_values[n] = (_series.egf_coeff(s2, n), _series.egf_coeff(s3, n))
     tasks = [

@@ -52,19 +52,16 @@ def tree_series(order: int) -> tuple[int, ...]:
     return tuple(formula)
 
 
-def geom_power(y: Sequence[int], d: int, order: int) -> tuple[int, ...]:
-    """(1/(1 - y))^d truncated at min(order, len(y) - 1); y needs zero constant term.
+def geom_power(y: Sequence[int], d: int) -> tuple[int, ...]:
+    """(1/(1 - y))^d truncated at len(y) - 1; y needs zero constant term.
 
     Input and output are n!-scaled integer vectors.
     """
     if d < 1:
         raise DomainError(f"geom_power requires d >= 1, got {d}")
-    if order < 0:
-        raise DomainError(f"order must be >= 0, got {order}")
     if not y or y[0] != 0:
         raise DomainError("geom_power requires a zero constant term")
-    n = min(order, len(y) - 1)
-    inverse = backend.kernels.egf_recip([1] + [-e for e in y[1 : n + 1]])
+    inverse = backend.kernels.egf_recip([1] + [-e for e in y[1:]])
     return tuple(backend.kernels.egf_pow(inverse, d))
 
 

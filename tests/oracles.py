@@ -9,16 +9,18 @@ Deliberately naive and independent of the integer kernels they certify:
 * ``tree_fixed_point`` is the plain fixed-point iteration of y = z*exp(y)
   on ``egf_exp``, against ``tree_egf``'s online solve;
 * ``CompositionCursor``, ``comp_sum`` and ``beta_direct`` enumerate weak
-  compositions as tuples and weight each with ``exact.multinomial``, apart
-  from ``comp_power_sum``'s Pascal-row products.
+  compositions as tuples and weight each with ``multinomial``, a factorial
+  quotient, apart from ``comp_power_sum``'s Pascal-row products;
+* ``alpha_formula`` and ``beta_formula`` are the README's closed sums with
+  each n!/k! a factorial division, apart from ``s_d_closed``'s
+  falling-factorial loop.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from math import comb, factorial
-
-from lacasse.exact import ipow00, multinomial
 
 # --- rational series ------------------------------------------------------
 
@@ -191,13 +193,25 @@ class CompositionCursor:
         return self.current
 
 
+def multinomial(parts: Iterable[int]) -> int:
+    """Return (sum parts)! / prod(parts_i!) for nonnegative parts."""
+    total = 0
+    denom = 1
+    for p in parts:
+        if p < 0:
+            raise ValueError(f"multinomial parts must be >= 0, got {p}")
+        total += p
+        denom *= factorial(p)
+    return factorial(total) // denom
+
+
 def comp_sum(n: int, d: int) -> int:
     """Sum of multinomial(parts) * prod(k^k) over the weak d-part compositions of n."""
     total = 0
     for parts in CompositionCursor(n, d):
         w = multinomial(parts)
         for k in parts:
-            w *= ipow00(k, k)
+            w *= k**k  # 0**0 == 1
         total += w
     return total
 
@@ -205,3 +219,16 @@ def comp_sum(n: int, d: int) -> int:
 def beta_direct(n: int) -> int:
     """The definitional 3-part multinomial sum, enumerated composition by composition."""
     return comp_sum(n, 3)
+
+
+# --- closed sums ----------------------------------------------------------
+
+
+def alpha_formula(n: int) -> int:
+    """sum_{k=0..n} (n!/k!) n^k, each n!/k! by factorial division."""
+    return sum(factorial(n) // factorial(k) * n**k for k in range(n + 1))
+
+
+def beta_formula(n: int) -> int:
+    """sum_{k=0..n} (n!/k!) (n+1-k) n^k, each n!/k! by factorial division."""
+    return sum(factorial(n) // factorial(k) * (n + 1 - k) * n**k for k in range(n + 1))

@@ -10,11 +10,10 @@ from lacasse.approx import (
     q_growth_check,
     tree_eval,
 )
-from lacasse.exact import factorial
 from lacasse.identity import ramanujan_q
 
 # float tree-series coefficients n^(n-1)/n!, rounded once from the exact values
-_COEFFS_300 = [float(Fraction(n ** (n - 1), factorial(n))) for n in range(1, 301)]
+_COEFFS_300 = [float(Fraction(n ** (n - 1), math.factorial(n))) for n in range(1, 301)]
 
 
 def _partial_sum(z: float, order: int) -> float:

@@ -410,6 +410,13 @@ def test_bench_bad_n_max(capsys):
     assert code == 2
 
 
+def test_bench_bad_d(capsys):
+    for d in ("0", "-3"):
+        code, _, err = main_out(capsys, "bench", "--n-max", "3", "--d", d)
+        assert code == 2
+        assert err.startswith("error:")
+
+
 # --- subprocess end-to-end ---------------------------------------------------
 
 

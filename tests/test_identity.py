@@ -1,11 +1,12 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lacasse import identity
-from lacasse.exact import DomainError, binomial
+from lacasse.exact import DomainError
 from lacasse.identity import (
     IdentityFailureError,
     RouteDisagreementError,
@@ -23,7 +24,7 @@ from lacasse.identity import (
     xi_scaled_brute,
 )
 from lacasse.series import egf_coeff, geom_power, tree_series
-from oracles import CompositionCursor, beta_direct
+from oracles import CompositionCursor, alpha_formula, beta_direct, beta_formula
 
 F = Fraction
 
@@ -88,15 +89,17 @@ def test_s_d_closed_examples():
 
 
 def test_s_d_closed_specializes_to_alpha_and_beta():
+    # alpha_closed and beta_closed are s_d_closed at d = 2, 3; check them
+    # against the README sums with factorial division instead
     for n in range(41):
-        assert s_d_closed(n, 2) == alpha_closed(n)
-        assert s_d_closed(n, 3) == beta_closed(n)
+        assert alpha_closed(n) == alpha_formula(n)
+        assert beta_closed(n) == beta_formula(n)
 
 
 def test_s_d_routes_agree_small_grid():
     for d in range(1, 6):
         t = tree_series(15)
-        s = geom_power(t, d, 15)
+        s = geom_power(t, d)
         for n in range(16):
             closed = s_d_closed(n, d)
             assert closed == xi_scaled_brute(n, d)
@@ -117,7 +120,7 @@ def test_s_d_knuth_pittel_convolution(data, n):
     a = data.draw(st.integers(min_value=1, max_value=7), label="a")
     b = data.draw(st.integers(min_value=1, max_value=8 - a), label="b")
     want = sum(
-        binomial(n, k) * s_d_closed(k, a) * s_d_closed(n - k, b) for k in range(n + 1)
+        comb(n, k) * s_d_closed(k, a) * s_d_closed(n - k, b) for k in range(n + 1)
     )
     assert s_d_closed(n, a + b) == want
 
@@ -209,7 +212,7 @@ def test_cursor_visits_each_composition_once():
     for n in range(9):
         for d in range(1, 5):
             seen = list(CompositionCursor(n, d))
-            assert len(seen) == binomial(n + d - 1, d - 1)
+            assert len(seen) == comb(n + d - 1, d - 1)
             assert len(set(seen)) == len(seen)
             assert all(len(c) == d and sum(c) == n and min(c) >= 0 for c in seen)
 
@@ -269,9 +272,15 @@ def test_verify_drops_brute_above_cutoff():
 
 def test_brute_force_admitted_boundary():
     n = 10
-    terms = binomial(n + 2, 2)
+    terms = comb(n + 2, 2)
     assert brute_force_admitted(n, 3, cutoff=terms)
     assert not brute_force_admitted(n, 3, cutoff=terms - 1)
+
+
+def test_brute_force_admitted_rejects_bad_input():
+    for n, d in ((5, 0), (5, -3), (-1, 3)):
+        with pytest.raises(DomainError):
+            brute_force_admitted(n, d)
 
 
 def test_verify_closed_only_route():

@@ -1,11 +1,12 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lacasse import _kernels_py, backend
-from lacasse.exact import DomainError, factorial
+from lacasse.exact import DomainError
 from lacasse.series import ConsistencyError, egf_coeff, geom_power, tree_series
 from oracles import (
     add,
@@ -35,9 +36,7 @@ def test_constructor_rejects_negative_order_and_empty():
     with pytest.raises(DomainError):
         tree_series(-1)
     with pytest.raises(DomainError):
-        geom_power(tree_series(2), 2, -1)
-    with pytest.raises(DomainError):
-        geom_power((), 2, 0)
+        geom_power((), 2)
 
 
 def test_indexing_bounds():
@@ -166,19 +165,19 @@ def test_tree_series_consistency_guard(monkeypatch):
 
 def test_geom_power_tree_d1_coefficients():
     # 1/(1-y) = sum n^n z^n / n!: 1, 1, 2, 9/2, 32/3
-    s = geom_power(tree_series(4), 1, 4)
+    s = geom_power(tree_series(4), 1)
     assert s == (1, 1, 4, 27, 256)
     assert to_fractions(s) == [1, 1, 2, F(9, 2), F(32, 3)]
 
 
 def test_geom_power_of_zero_is_one():
     for d in (1, 2, 5):
-        assert geom_power((0, 0, 0, 0), d, 3) == (1, 0, 0, 0)
+        assert geom_power((0, 0, 0, 0), d) == (1, 0, 0, 0)
 
 
 def test_geom_power_of_z_d2_is_arithmetic_series():
     # 1/(1-z)^2 = sum (k+1) z^k
-    s = geom_power(_egf_z(6), 2, 6)
+    s = geom_power(_egf_z(6), 2)
     assert to_fractions(s) == [k + 1 for k in range(7)]
 
 
@@ -201,23 +200,23 @@ def test_geom_power_matches_geometric_sum_oracle():
     for y in (tree_series(12), _egf_z(8)):
         for d in range(1, 4):
             want = _geom_sum_oracle(to_fractions(y), d)
-            assert to_fractions(geom_power(y, d, len(y) - 1)) == want
+            assert to_fractions(geom_power(y, d)) == want
 
 
 def test_geom_power_inversion_invariant():
     y = to_fractions(tree_series(50))
-    inv = to_fractions(geom_power(tree_series(50), 1, 50))
+    inv = to_fractions(geom_power(tree_series(50), 1))
     assert mul(inv, add(one(50), [-c for c in y])) == one(50)
     assert inv == reciprocal_unit(add(one(50), [-c for c in y]))
 
 
 def test_geom_power_consistency_with_repeated_mul():
     y = tree_series(25)
-    base = to_fractions(geom_power(y, 1, 25))
+    base = to_fractions(geom_power(y, 1))
     acc = base
     for d in range(2, 5):
         acc = mul(acc, base)
-        assert to_fractions(geom_power(y, d, 25)) == acc
+        assert to_fractions(geom_power(y, d)) == acc
 
 
 def test_geom_power_egf_integrality():
@@ -228,23 +227,15 @@ def test_geom_power_egf_integrality():
     power = one(40)
     for d in range(1, 6):
         power = mul(power, inv)
-        assert to_egf(power) == list(geom_power(tree_series(40), d, 40))
+        assert to_egf(power) == list(geom_power(tree_series(40), d))
 
 
 def test_geom_power_validation():
     y = tree_series(4)
     with pytest.raises(DomainError):
-        geom_power(y, 0, 4)
+        geom_power(y, 0)
     with pytest.raises(DomainError):
-        geom_power((1, 1), 2, 1)
-    with pytest.raises(DomainError):
-        geom_power(y, 2, -1)
-
-
-def test_geom_power_truncates_to_min_order():
-    y = tree_series(10)
-    assert len(geom_power(y, 2, 4)) == 5
-    assert len(geom_power(y, 2, 99)) == 11
+        geom_power((1, 1), 2)
 
 
 # --- egf_coeff ------------------------------------------------------------
@@ -252,8 +243,8 @@ def test_geom_power_truncates_to_min_order():
 
 def test_egf_coeff_examples():
     t = tree_series(3)
-    assert egf_coeff(geom_power(t, 2, 2), 2) == 10  # alpha(2)
-    assert egf_coeff(geom_power(t, 1, 3), 3) == 27  # 3^3
+    assert egf_coeff(geom_power(t, 2), 2) == 10  # alpha(2)
+    assert egf_coeff(geom_power(t, 1), 3) == 27  # 3^3
     assert egf_coeff((7, 1), 0) == 7
 
 
@@ -263,7 +254,7 @@ def test_egf_coeff_beyond_order():
 
 
 def test_egf_coeff_scales_by_factorial():
-    s = geom_power(tree_series(8), 3, 8)
+    s = geom_power(tree_series(8), 3)
     coeffs = _geom_sum_oracle(to_fractions(tree_series(8)), 3)
     for n in range(9):
         assert egf_coeff(s, n) == factorial(n) * coeffs[n]
