@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 
-from . import identity
+from . import backend, identity
 from . import series as series_mod
 from .exact import DomainError
 
@@ -214,25 +214,24 @@ def cmd_bench(args) -> int:
         return [series_mod.egf_coeff(p, n) for n in range(1, n_max + 1)]
 
     def run_brute():
-        return [identity.xi_scaled_brute(n, d) for n in admitted]
+        return [backend.kernels.comp_power_sum(n, d) for n in admitted]
 
     rows = []
     values = {}
     for route, fn in (("closed", run_closed), ("series", run_series), ("brute", run_brute)):
         median, result = _median_time(fn, args.repetitions)
-        rows.append((route, "py", median))  # the backend field keeps the row schema
+        rows.append((route, median))
         values[route] = result
     agree = values["closed"] == values["series"] and all(
         values["brute"][i] == values["closed"][n - 1] for i, n in enumerate(admitted)
     )
 
     if args.format == "json":
-        for route, name, median in rows:
+        for route, median in rows:
             print(
                 json.dumps(
                     {
                         "route": route,
-                        "backend": name,
                         "median_seconds": median,
                         "n_max": n_max,
                         "d": d,
@@ -242,15 +241,15 @@ def cmd_bench(args) -> int:
             )
         print(json.dumps({"values_agree": agree}))
     elif args.format == "csv":
-        print("route,backend,median_seconds")
+        print("route,median_seconds")
         writer = csv.writer(sys.stdout, quoting=csv.QUOTE_ALL, lineterminator="\n")
-        for route, name, median in rows:
-            writer.writerow([route, name, f"{median:.6f}"])
+        for route, median in rows:
+            writer.writerow([route, f"{median:.6f}"])
     else:
         print(f"s_d benchmark: d={d}, n=1..{n_max}, {args.repetitions} repetition(s), median wall times")
         width = max(len(r[0]) for r in rows)
-        for route, name, median in rows:
-            print(f"  {route:<{width}}  backend={name:<3}  {median:.6f}s")
+        for route, median in rows:
+            print(f"  {route:<{width}}  {median:.6f}s")
         print(f"values agree across routes: {'yes' if agree else 'NO'}")
         if not admitted:
             print("note: brute-force route admitted no n at this cutoff")

@@ -43,7 +43,6 @@ __all__ = [
     "verify_range",
     "xi",
     "xi2",
-    "xi_scaled_brute",
 ]
 
 ALL_ROUTES = ("closed", "brute", "series")
@@ -139,18 +138,6 @@ def s_d_closed(n: int, d: int) -> int:
         total += ff * comb(n - j + d - 2, d - 2) * powers[j]
         ff *= j
     return total
-
-
-def xi_scaled_brute(n: int, d: int) -> int:
-    """Oracle for s_d_closed: enumerate all weak d-part compositions of n.
-
-    Cost is C(n+d-1, d-1) terms; intended for moderate n.
-    """
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}")
-    return backend.kernels.comp_power_sum(n, d)
 
 
 def xi(n: int) -> Fraction:
@@ -258,18 +245,8 @@ def _require_agreement(n: int, quantity: str, values: dict[str, int]) -> None:
             raise RouteDisagreementError(n, quantity, (base_route, route), (base, val))
 
 
-def _series_alpha_beta(n: int) -> tuple[int, int]:
-    t = _series.tree_series(n)
-    a = _series.egf_coeff(_series.geom_power(t, 2), n)
-    b = _series.egf_coeff(_series.geom_power(t, 3), n)
-    return a, b
-
-
 def verify_lacasse(
-    n: int,
-    routes=ALL_ROUTES,
-    cutoff: int = DEFAULT_BRUTE_CUTOFF,
-    _series_values: tuple[int, int] | None = None,
+    n: int, routes=ALL_ROUTES, cutoff: int = DEFAULT_BRUTE_CUTOFF
 ) -> VerificationReport:
     """Check beta(n) - alpha(n) = n^(n+1) across every admitted route.
 
@@ -280,19 +257,20 @@ def verify_lacasse(
     """
     if n < 1:
         raise DomainError(f"verify_lacasse requires n >= 1, got {n}")
-    requested = _normalize_routes(routes)
+    return verify_range(n, n, routes, cutoff)[0]
+
+
+def _verify_task(args) -> VerificationReport:
+    # one n of verify_range; series_values is the (alpha, beta) pair read
+    # off the shared series tables, or None when the route is off
+    n, brute, cutoff, series_values = args
     alpha_by = {"closed": alpha_closed(n)}
     beta_by = {"closed": beta_closed(n)}
-    used = ["closed"]
-    if "brute" in requested and brute_force_admitted(n, 3, cutoff):
+    if brute and brute_force_admitted(n, 3, cutoff):
         alpha_by["brute"] = alpha_direct(n)
-        beta_by["brute"] = xi_scaled_brute(n, 3)
-        used.append("brute")
-    if "series" in requested:
-        a_s, b_s = _series_values if _series_values is not None else _series_alpha_beta(n)
-        alpha_by["series"] = a_s
-        beta_by["series"] = b_s
-        used.append("series")
+        beta_by["brute"] = backend.kernels.comp_power_sum(n, 3)
+    if series_values is not None:
+        alpha_by["series"], beta_by["series"] = series_values
     _require_agreement(n, "alpha", alpha_by)
     _require_agreement(n, "beta", beta_by)
     alpha = alpha_by["closed"]
@@ -307,14 +285,9 @@ def verify_lacasse(
         beta=beta,
         difference=difference,
         expected=expected,
-        routes_compared=tuple(used),
+        routes_compared=tuple(alpha_by),
         passed=True,
     )
-
-
-def _verify_task(args) -> VerificationReport:
-    n, routes, cutoff, series_values = args
-    return verify_lacasse(n, routes, cutoff, _series_values=series_values)
 
 
 def verify_range(
@@ -343,9 +316,9 @@ def verify_range(
         s3 = _series.geom_power(t, 3)
         for n in range(first, last + 1):
             series_values[n] = (_series.egf_coeff(s2, n), _series.egf_coeff(s3, n))
+    brute = "brute" in requested
     tasks = [
-        (n, requested, cutoff, series_values.get(n))
-        for n in range(first, last + 1)
+        (n, brute, cutoff, series_values.get(n)) for n in range(first, last + 1)
     ]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers == 1:

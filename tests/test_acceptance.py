@@ -1,28 +1,21 @@
 """Acceptance gate: every criterion at its stated range and tolerance.
 
 Each test prints one PASS/FAIL line (visible with ``pytest -s``); the test
-name carries the criterion number.  Criterion 8a is an expected failure:
-the order-60 oracle it prescribes undershoots the true tree function by up
-to ~1.6e-8 near z = 0.3 (positive-term tail), which no implementation can
-reconcile with the 1e-12 window over the full interval.  Criterion 8b runs
-the same draws against an adequately truncated oracle and passes.
+name carries the criterion number.
 """
 
 import json
+import math
 import os
-import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
-from math import factorial
 from pathlib import Path
-
-import pytest
 
 import lacasse
 from lacasse import cli, identity
-from lacasse.approx import q_growth_check, tree_eval
+from lacasse._kernels_py import comp_power_sum
 from lacasse.identity import (
     alpha_closed,
     alpha_direct,
@@ -31,7 +24,6 @@ from lacasse.identity import (
     s_d_closed,
     telescoping_difference,
     verify_range,
-    xi_scaled_brute,
 )
 from lacasse.series import egf_coeff, geom_power, tree_series
 from oracles import beta_direct, exp_trunc, mul, to_fractions, z
@@ -86,7 +78,7 @@ def test_criterion_04_general_d_coefficient_formula():
         for n in range(31):
             closed = s_d_closed(n, d)
             series_val = egf_coeff(s, n)
-            ok = ok and closed == xi_scaled_brute(n, d)
+            ok = ok and closed == comp_power_sum(n, d)
             ok = ok and series_val == closed
     _report("4", ok, "s_d closed form = brute composition sum = series, d=1..5, n<=30")
     assert ok
@@ -115,62 +107,18 @@ def test_criterion_07_telescoping_0_to_300():
     assert ok
 
 
-_FLOAT_COEFFS = [float(Fraction(n ** (n - 1), factorial(n))) for n in range(1, 301)]
-
-
-def _partial_sum(z: float, order: int) -> float:
-    return sum(_FLOAT_COEFFS[n - 1] * z**n for n in range(1, order + 1))
-
-
-def _draws(count: int = 200, lo: float = 0.0, hi: float = 0.3) -> list[float]:
-    rng = random.Random(60)
-    return [rng.uniform(lo, hi) for _ in range(count)]
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason=(
-        "the prescribed order-60 oracle undershoots the true value by up to "
-        "~1.6e-8 for z in (0.258, 0.3]; no solver output can sit within 1e-12 "
-        "of it across the full interval (see the order-300 companion)"
-    ),
-)
-def test_criterion_08a_float_tree_vs_order60_sum_as_stated():
-    gaps = [abs(tree_eval(z).y - _partial_sum(z, 60)) for z in _draws()]
-    ok = all(g <= 1e-12 for g in gaps)
-    _report(
-        "8a",
-        ok,
-        f"tree_eval vs order-60 sum on 200 uniform z in [0,0.3]: max gap {max(gaps):.3e} "
-        "(oracle truncation error, see README)",
-    )
-    assert ok
-
-
-def test_criterion_08b_float_tree_vs_adequate_oracle_and_envelope():
-    draws = _draws()
-    gaps_300 = [abs(tree_eval(z).y - _partial_sum(z, 300)) for z in draws]
-    signed_60 = [tree_eval(z).y - _partial_sum(z, 60) for z in draws]
-    ok = all(g <= 1e-12 for g in gaps_300)
-    ok = ok and all(-1e-13 <= g <= 2e-8 for g in signed_60)
-    _report(
-        "8b",
-        ok,
-        f"tree_eval within 1e-12 of the order-300 sum (max {max(gaps_300):.3e}); "
-        f"order-60 tail envelope <= 2e-8 (max {max(signed_60):.3e})",
-    )
-    assert ok
-
-
 def test_criterion_08c_q_growth_window():
-    rows = q_growth_check([100, 200, 400])
-    ok = all(0.97 <= row.ratio <= 1.01 for row in rows)
-    ratios = [row.ratio for row in rows]
-    ok = ok and all(r < 1 for r in ratios) and ratios == sorted(ratios)
+    # Q(n) = sqrt(pi*n/2) - 1/3 + O(1/sqrt(n)), so the ratio climbs to 1 from below
+    ok = True
+    for grid in ([100, 200, 400], [1, 2, 5, 10, 20, 50, 100, 200, 400]):
+        ratios = [float(ramanujan_q(n)) / math.sqrt(math.pi * n / 2) for n in grid]
+        ok = ok and all(r < 1 for r in ratios)
+        ok = ok and all(a < b for a, b in zip(ratios, ratios[1:]))
+        ok = ok and all(0.97 <= r <= 1.01 for n, r in zip(grid, ratios) if n >= 100)
     _report(
         "8c",
         ok,
-        "Q(n)/sqrt(pi*n/2) in [0.97, 1.01] and rising from below for n in {100,200,400}",
+        "Q(n)/sqrt(pi*n/2) rising from below for n = 1..400, in [0.97, 1.01] from n = 100",
     )
     assert ok
 

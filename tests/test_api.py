@@ -9,28 +9,20 @@ PUBLIC_NAMES = [
     "DEFAULT_BRUTE_CUTOFF",
     "DomainError",
     "IdentityFailureError",
-    "QGrowthRow",
     "RouteDisagreementError",
-    "TreeEvalResult",
     "VerificationReport",
     "alpha_closed",
-    "alpha_direct",
     "beta_closed",
-    "brute_force_admitted",
     "egf_coeff",
     "geom_power",
-    "q_float",
-    "q_growth_check",
     "ramanujan_q",
     "s_d_closed",
     "telescoping_difference",
-    "tree_eval",
     "tree_series",
     "verify_lacasse",
     "verify_range",
     "xi",
     "xi2",
-    "xi_scaled_brute",
 ]
 
 

@@ -391,6 +391,8 @@ def test_bench_json(capsys):
     rows = [json.loads(line) for line in out.splitlines()]
     assert rows[-1] == {"values_agree": True}
     assert {r["route"] for r in rows[:-1]} == {"closed", "series", "brute"}
+    for r in rows[:-1]:
+        assert set(r) == {"route", "median_seconds", "n_max", "d", "repetitions"}
 
 
 def test_bench_single_row_range(capsys):

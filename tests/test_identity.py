@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lacasse import identity
+from lacasse import backend, identity
+from lacasse._kernels_py import comp_power_sum
 from lacasse.exact import DomainError
 from lacasse.identity import (
     IdentityFailureError,
@@ -21,7 +22,6 @@ from lacasse.identity import (
     verify_range,
     xi,
     xi2,
-    xi_scaled_brute,
 )
 from lacasse.series import egf_coeff, geom_power, tree_series
 from oracles import CompositionCursor, alpha_formula, beta_direct, beta_formula
@@ -75,7 +75,7 @@ def test_beta_closed_examples():
 
 def test_beta_routes_agree_midrange():
     for n in range(41):
-        assert beta_direct(n) == beta_closed(n) == xi_scaled_brute(n, 3)
+        assert beta_direct(n) == beta_closed(n) == comp_power_sum(n, 3)
 
 
 # --- s_d --------------------------------------------------------------------
@@ -102,7 +102,7 @@ def test_s_d_routes_agree_small_grid():
         s = geom_power(t, d)
         for n in range(16):
             closed = s_d_closed(n, d)
-            assert closed == xi_scaled_brute(n, d)
+            assert closed == comp_power_sum(n, d)
             assert closed == egf_coeff(s, n)
 
 
@@ -130,17 +130,6 @@ def test_s_d_validation():
         s_d_closed(-1, 2)
     with pytest.raises(DomainError):
         s_d_closed(3, 0)
-    with pytest.raises(DomainError):
-        xi_scaled_brute(-1, 2)
-    with pytest.raises(DomainError):
-        xi_scaled_brute(3, 0)
-
-
-def test_xi_scaled_brute_examples():
-    assert xi_scaled_brute(2, 2) == 10  # (0,2),(1,1),(2,0) -> 4+2+4
-    assert xi_scaled_brute(1, 3) == 3 == beta_direct(1)
-    for d in range(1, 7):
-        assert xi_scaled_brute(0, d) == 1
 
 
 # --- xi, xi2 ----------------------------------------------------------------
@@ -304,9 +293,19 @@ def test_verify_detects_identity_failure(monkeypatch):
         verify_lacasse(4, routes=("closed",))
 
 
-def test_verify_rejects_disagreeing_injected_series_values():
-    with pytest.raises(RouteDisagreementError):
-        verify_lacasse(3, _series_values=(77, 159))
+def test_verify_detects_series_fault(monkeypatch):
+    real = backend.kernels.egf_pow
+
+    def broken(u, d):
+        out = real(u, d)
+        out[3] += 1
+        return out
+
+    monkeypatch.setattr(backend.kernels, "egf_pow", broken)
+    with pytest.raises(RouteDisagreementError) as exc:
+        verify_lacasse(3)
+    assert set(exc.value.routes) == {"closed", "series"}
+    assert exc.value.n == 3
 
 
 def test_verify_range_ordering_and_contents():
