@@ -132,6 +132,14 @@ def test_s_d_validation():
         s_d_closed(3, 0)
 
 
+def test_xi_scaled_brute_examples():
+    # the brute composition sum, now the comp_power_sum kernel
+    assert comp_power_sum(2, 2) == 10  # (0,2),(1,1),(2,0) -> 4+2+4
+    assert comp_power_sum(1, 3) == 3 == beta_direct(1)
+    for d in range(1, 7):
+        assert comp_power_sum(0, d) == 1
+
+
 # --- xi, xi2 ----------------------------------------------------------------
 
 
