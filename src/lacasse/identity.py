@@ -19,7 +19,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from . import backend
 from . import series as _series
@@ -91,14 +91,6 @@ class VerificationReport:
     passed: bool
 
 
-def _powers(base: int, top: int) -> list[int]:
-    # [base^0 .. base^top] by repeated multiplication; base^0 == 1 even for base 0
-    out = [1]
-    for _ in range(top):
-        out.append(out[-1] * base)
-    return out
-
-
 def alpha_direct(n: int) -> int:
     """The definitional sum sum_k C(n,k) k^k (n-k)^(n-k)."""
     if n < 0:
@@ -122,8 +114,10 @@ def s_d_closed(n: int, d: int) -> int:
     The weight C(n-j+d-2, d-2) on the j-th term is the coefficient of
     y^(n-j) in 1/(1-y)^(d-1): d=2 and d=3 give the alpha and beta
     closed forms (weights 1 and n+1-j), and d=1 degenerates to n^n
-    (empty geometric factor, weight [j == n]).  The n!/j! factors are
-    accumulated as falling factorials, so nothing is divided.
+    (empty geometric factor, weight [j == n]).  The sum is one Horner
+    pass in n: as j runs from n down to 0, each step multiplies the total
+    by n and adds the weighted falling factorial n!/j!, so no power of n
+    is tabulated and nothing is divided.
     """
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
@@ -131,11 +125,10 @@ def s_d_closed(n: int, d: int) -> int:
         raise DomainError(f"d must be >= 1, got {d}")
     if d == 1:
         return n**n
-    powers = _powers(n, n)
     total = 0
     ff = 1  # n!/j! while j runs n down to 0
     for j in range(n, -1, -1):
-        total += ff * comb(n - j + d - 2, d - 2) * powers[j]
+        total = total * n + ff * comb(n - j + d - 2, d - 2)
         ff *= j
     return total
 
@@ -157,42 +150,36 @@ def xi2(n: int) -> Fraction:
 def telescoping_difference(n: int) -> int:
     """Evaluate sum_k (n!/k!) (n-k) n^k and certify its telescoping collapse.
 
-    The sum splits termwise into upper[k] - lower[k] with
-    upper[k] = (n!/k!) n^(k+1) and lower[k] = (n!/(k-1)!) n^k, and
-    lower[k] == upper[k-1] cancels everything except upper[n] = n^(n+1).
-    Both the split and the cancellation are checked term by term; any
-    mismatch raises ConsistencyError.
+    One pass carries u = (n!/k!) n^k, from u = n! at k = 0 by the exact
+    step u <- u*n // k.  The k-th term u*(n-k) splits into
+    upper = u*n = (n!/k!) n^(k+1) minus lower = u*k = (n!/(k-1)!) n^k,
+    and lower == the previous upper cancels everything except the last
+    upper, n^(n+1).  The split and the cancellation are checked as each
+    term arrives, and the sum against n^(n+1) at the end; any mismatch
+    raises ConsistencyError.
     """
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
-    powers = _powers(n, n + 1)
-    ff = [0] * (n + 1)  # ff[k] = n!/k!
-    acc = 1
-    for k in range(n, -1, -1):
-        ff[k] = acc
-        acc *= k
     total = 0
-    upper = []
-    lower = [0]  # k = 0 term has factor k = 0
+    prev_up = 0  # the k = 0 lower term has factor k = 0
+    u = factorial(n)
     for k in range(n + 1):
-        term = ff[k] * (n - k) * powers[k]
-        up = ff[k] * powers[k + 1]
-        low = ff[k] * k * powers[k]
+        if k:
+            u = u * n // k
+        term = u * (n - k)
+        up = u * n
+        low = u * k
         if term != up - low:
             raise ConsistencyError(
                 f"telescoping split broke at n={n}, k={k}: {term} != {up} - {low}"
             )
-        total += term
-        upper.append(up)
-        if k:
-            lower.append(low)
-    for k in range(1, n + 1):
-        if lower[k] != upper[k - 1]:
+        if low != prev_up:
             raise ConsistencyError(
-                f"telescoping cancellation broke at n={n}, k={k}: "
-                f"{lower[k]} != {upper[k - 1]}"
+                f"telescoping cancellation broke at n={n}, k={k}: {low} != {prev_up}"
             )
-    expected = powers[n + 1]  # n^(n+1); ff[n] == 1
+        total += term
+        prev_up = up
+    expected = n ** (n + 1)
     if total != expected:
         raise ConsistencyError(
             f"telescoping sum at n={n} is {total}, expected n^(n+1) = {expected}"
@@ -203,20 +190,19 @@ def telescoping_difference(n: int) -> int:
 def ramanujan_q(n: int) -> Fraction:
     """Q(n) = sum_{k=1..n} n! / ((n-k)! n^k) as an exact rational.
 
-    Terms are built multiplicatively, term_1 = 1 and
-    term_{k+1} = term_k * (n-k)/n, so no factorial ever materializes.
-    Satisfies alpha(n) = n^n (1 + Q(n)).
+    Over the common denominator n^(n-1) the k-th term has numerator
+    (n-1)(n-2)...(n-k+1) n^(n-k), so the numerator is one Horner pass in
+    n over the falling products, and a single Fraction is built at the
+    end.  Satisfies alpha(n) = n^n (1 + Q(n)).
     """
     if n < 1:
         raise DomainError(f"ramanujan_q({n}) is undefined; n >= 1 required")
     num = 1  # falling product (n-1)(n-2)...(n-k+1)
-    den = 1  # n^(k-1)
-    total = Fraction(0)
+    total = 0
     for k in range(1, n + 1):
-        total += Fraction(num, den)
+        total = total * n + num
         num *= n - k
-        den *= n
-    return total
+    return Fraction(total, n ** (n - 1))
 
 
 def brute_force_admitted(n: int, d: int, cutoff: int = DEFAULT_BRUTE_CUTOFF) -> bool:
@@ -308,6 +294,8 @@ def verify_range(
         raise DomainError(f"invalid range [{first}, {last}]; need 1 <= from <= to")
     if jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {jobs}")
+    if cutoff < 0:
+        raise DomainError(f"cutoff must be >= 0, got {cutoff}")
     requested = _normalize_routes(routes)
     series_values: dict[int, tuple[int, int]] = {}
     if "series" in requested:

@@ -13,7 +13,7 @@ Deliberately naive and independent of the integer kernels they certify:
   quotient, apart from ``comp_power_sum``'s Pascal-row products;
 * ``alpha_formula`` and ``beta_formula`` are the README's closed sums with
   each n!/k! a factorial division, apart from ``s_d_closed``'s
-  falling-factorial loop.
+  Horner loop over falling factorials.
 """
 
 from __future__ import annotations

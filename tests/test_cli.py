@@ -2,6 +2,7 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 import lacasse
 from lacasse import backend, cli, identity
 from lacasse.identity import VerificationReport, alpha_closed, beta_closed, ramanujan_q
+from lacasse.series import ConsistencyError
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -219,6 +221,15 @@ def test_verify_invalid_range(capsys):
     assert "invalid range" in err
 
 
+def test_verify_negative_brute_cutoff(capsys):
+    code, out, err = main_out(
+        capsys, "verify", "--from", "1", "--to", "2", "--brute-cutoff", "-1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "cutoff must be >= 0" in err
+
+
 def test_verify_unknown_route(capsys):
     code, _, err = main_out(
         capsys, "verify", "--from", "1", "--to", "2", "--routes", "closed,psychic"
@@ -287,6 +298,22 @@ def test_verify_tree_fault_is_consistency_failure(monkeypatch, capsys):
     code, _, err = main_out(capsys, "verify", "--from", "1", "--to", "8")
     assert code == 1
     assert "verification failure: tree series constructions disagree at z^3" in err
+
+
+@pytest.mark.parametrize(
+    "n, broken",
+    [(2, "telescoping sum"), (3, "cancellation"), (5, "cancellation"), (10, "cancellation")],
+)
+def test_diff_fault_is_consistency_failure(monkeypatch, capsys, n, broken):
+    # n! + 1 seeds the carried term off by one; at n = 2 every exact step
+    # still divides, so only the final sum can catch it
+    monkeypatch.setattr(identity, "factorial", lambda m: math.factorial(m) + 1)
+    with pytest.raises(ConsistencyError, match=broken):
+        identity.telescoping_difference(n)
+    code, out, err = main_out(capsys, "value", "diff", str(n))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("verification failure:") and broken in err
 
 
 def test_internal_value_error_is_not_a_usage_error(monkeypatch, capsys):

@@ -90,8 +90,9 @@ def test_s_d_closed_examples():
 
 def test_s_d_closed_specializes_to_alpha_and_beta():
     # alpha_closed and beta_closed are s_d_closed at d = 2, 3; check them
-    # against the README sums with factorial division instead
-    for n in range(41):
+    # against the README sums with factorial division instead, past the
+    # 4300-digit mark at the last two n
+    for n in [*range(41), 300, 1500]:
         assert alpha_closed(n) == alpha_formula(n)
         assert beta_closed(n) == beta_formula(n)
 
@@ -193,8 +194,11 @@ def test_ramanujan_q_examples():
 
 
 def test_ramanujan_q_alpha_link_midrange():
+    # Q and alpha_closed are both Horner sums, so alpha is also taken from
+    # the definitional binomial sum
     for n in range(1, 81):
         assert n**n * (1 + ramanujan_q(n)) == alpha_closed(n)
+        assert n**n * (1 + ramanujan_q(n)) == alpha_direct(n)
 
 
 def test_ramanujan_q_rejects_zero():
@@ -330,6 +334,12 @@ def test_verify_range_invalid():
         verify_range(0, 3)
     with pytest.raises(DomainError):
         verify_range(1, 3, jobs=0)
+
+
+def test_verify_range_rejects_negative_cutoff():
+    with pytest.raises(DomainError, match="cutoff must be >= 0, got -1"):
+        verify_range(1, 2, cutoff=-1)
+    assert verify_range(1, 2, cutoff=0)[0].routes_compared == ("closed", "series")
 
 
 def test_verify_range_jobs_independent():
