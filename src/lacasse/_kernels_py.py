@@ -4,8 +4,9 @@ Callers reach these through ``backend.kernels``.
 
 Series kernels work on EGF integer vectors: entry m holds m! times the
 coefficient of z^m.  For every series handled here (the tree function and
-rational functions of it) those entries are integers, so the convolutions
-below never leave the integers and never touch a gcd.
+the powers of 1/(1 - y)) those entries are integers, and each kernel is one
+recurrence of binomial convolutions with Pascal-row weights, so it never
+leaves the integers, never divides and never touches a gcd.
 """
 
 from __future__ import annotations
@@ -26,54 +27,30 @@ def pascal_rows(order: int) -> list[list[int]]:
     return rows
 
 
-def _mul(u: list, v: list, rows: list, n: int) -> list:
-    # w[m] = sum_j C(m, j) u[j] v[m-j]
-    out = [0] * (n + 1)
-    for m in range(n + 1):
-        row = rows[m]
-        acc = 0
-        for j in range(m + 1):
-            uj = u[j]
-            if uj:
-                acc += row[j] * uj * v[m - j]
-        out[m] = acc
-    return out
+def egf_geom_power(y: list, d: int) -> list:
+    """(1/(1 - y))^d for a vector whose constant term is 0, d >= 1.
 
-
-def egf_recip(u: list) -> list:
-    """EGF reciprocal of a vector whose constant term is 1."""
-    if not u or u[0] != 1:
-        raise ValueError("egf_recip requires constant term 1")
-    n = len(u) - 1
-    rows = pascal_rows(n)
-    b = [0] * (n + 1)
-    b[0] = 1
-    for m in range(1, n + 1):
-        row = rows[m]
-        acc = 0
-        for j in range(1, m + 1):
-            uj = u[j]
-            if uj:
-                acc += row[j] * uj * b[m - j]
-        b[m] = -acc
-    return b
-
-
-def egf_pow(u: list, d: int) -> list:
-    """d-th EGF power by binary powering, d >= 1."""
+    P = (1 - y)^(-d) satisfies P'(1 - y) = d y' P, and the coefficient of
+    z^(m-1) on both sides gives
+    P[m] = sum_{k=1..m} (C(m-1, k) + d C(m-1, k-1)) y[k] P[m-k]
+    from P[0] = 1: one division-free O(N^2) pass for any d, with no
+    reciprocal and no chain of products (J.C.P. Miller's power recurrence,
+    Knuth, TAOCP vol. 2, 4.7).
+    """
     if d < 1:
-        raise ValueError(f"egf_pow requires d >= 1, got {d}")
-    n = len(u) - 1
-    rows = pascal_rows(n)
-    result = None
-    base = list(u)
-    while d:
-        if d & 1:
-            result = base if result is None else _mul(result, base, rows, n)
-        d >>= 1
-        if d:
-            base = _mul(base, base, rows, n)
-    return list(result)
+        raise ValueError(f"egf_geom_power requires d >= 1, got {d}")
+    if not y or y[0] != 0:
+        raise ValueError("egf_geom_power requires constant term 0")
+    n = len(y) - 1
+    rows = pascal_rows(max(n - 1, 0))
+    p = [1]
+    for m in range(1, n + 1):
+        row = rows[m - 1]
+        acc = d * y[m]  # k = m: C(m-1, m) = 0, C(m-1, m-1) = 1, P[0] = 1
+        for k in range(1, m):
+            acc += (row[k] + d * row[k - 1]) * y[k] * p[m - k]
+        p.append(acc)
+    return p
 
 
 def tree_egf(order: int) -> list:

@@ -1,9 +1,10 @@
 """The kernel module every hot loop calls through.
 
-``series`` and ``identity`` reach the kernels as ``backend.kernels.<fn>``
-rather than importing the functions directly, so a caller can rebind this
-one attribute to wrap or replace all of them at once (the benchmark's
-tracer and the consistency-guard tests do).
+``series`` and ``identity`` reach the kernels (``tree_egf``,
+``egf_geom_power``, ``comp_power_sum``, ``pascal_rows``) as
+``backend.kernels.<fn>`` rather than importing them directly, so rebinding
+one function on this module reaches every caller: the benchmark's tracer
+wraps them that way, and the fault-injection tests break one at a time.
 """
 
 from . import _kernels_py as kernels  # noqa: F401

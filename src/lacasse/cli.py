@@ -20,12 +20,11 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass, field
-from decimal import Decimal
 from fractions import Fraction
 
 from . import backend, identity
 from . import series as series_mod
-from .exact import DomainError
+from .exact import DomainError, exact_str
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -71,20 +70,6 @@ class Record:
         ]
 
 
-def _exact_str(x: int | Fraction) -> str:
-    """Full decimal digits of an int, or ``p/q`` of a Fraction, at any size.
-
-    ``str(int)`` refuses ints longer than ``sys.get_int_max_str_digits()``
-    (4300 digits by default from Python 3.11 on); ``Decimal`` prints the
-    same digits with no such limit, and leaves the process-wide limit alone.
-    """
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return _exact_str(x.numerator)
-        return f"{_exact_str(x.numerator)}/{_exact_str(x.denominator)}"
-    return str(Decimal(x))
-
-
 def _emit(records: list[Record], fmt: str, plain_lines: list[str], out=None) -> None:
     out = out if out is not None else sys.stdout
     if fmt == "plain":
@@ -120,7 +105,7 @@ def cmd_value(args) -> int:
         "diff": identity.telescoping_difference,
     }
     value = identity.s_d_closed(n, d) if quantity == "s_d" else compute[quantity](n)
-    text = _exact_str(value)
+    text = exact_str(value)
     rec = Record(n=n, quantity=quantity, d=d, value=text)
     _emit([rec], args.format, [text])
     return EXIT_OK
@@ -134,8 +119,8 @@ def cmd_verify(args) -> int:
     records = []
     plain_lines = []
     for rep in reports:
-        alpha, beta = _exact_str(rep.alpha), _exact_str(rep.beta)
-        diff, expected = _exact_str(rep.difference), _exact_str(rep.expected)
+        alpha, beta = exact_str(rep.alpha), exact_str(rep.beta)
+        diff, expected = exact_str(rep.difference), exact_str(rep.expected)
         records.append(
             Record(
                 n=rep.n,
@@ -180,7 +165,7 @@ def cmd_series(args) -> int:
         if m:
             f *= m
         e = series_mod.egf_coeff(s, m)
-        coeff, egf = _exact_str(Fraction(e, f)), _exact_str(e)
+        coeff, egf = exact_str(Fraction(e, f)), exact_str(e)
         records.append(Record(n=m, quantity=label, d=d, value=coeff, extra={"egf": egf}))
         plain_lines.append(f"{m} {coeff} {egf}")
     _emit(records, args.format, plain_lines)

@@ -23,7 +23,7 @@ from math import comb, factorial
 
 from . import backend
 from . import series as _series
-from .exact import DomainError
+from .exact import DomainError, exact_str
 from .series import ConsistencyError
 
 __all__ = [
@@ -62,7 +62,7 @@ class RouteDisagreementError(RuntimeError):
         self.values = values
         super().__init__(
             f"routes {routes[0]!r} and {routes[1]!r} disagree on {quantity}({n}): "
-            f"{values[0]} vs {values[1]}"
+            f"{exact_str(values[0])} vs {exact_str(values[1])}"
         )
 
 
@@ -74,7 +74,8 @@ class IdentityFailureError(RuntimeError):
         self.difference = difference
         self.expected = expected
         super().__init__(
-            f"beta({n}) - alpha({n}) = {difference} != n^(n+1) = {expected}"
+            f"beta({n}) - alpha({n}) = {exact_str(difference)} "
+            f"!= n^(n+1) = {exact_str(expected)}"
         )
 
 
@@ -171,18 +172,21 @@ def telescoping_difference(n: int) -> int:
         low = u * k
         if term != up - low:
             raise ConsistencyError(
-                f"telescoping split broke at n={n}, k={k}: {term} != {up} - {low}"
+                f"telescoping split broke at n={n}, k={k}: "
+                f"{exact_str(term)} != {exact_str(up)} - {exact_str(low)}"
             )
         if low != prev_up:
             raise ConsistencyError(
-                f"telescoping cancellation broke at n={n}, k={k}: {low} != {prev_up}"
+                f"telescoping cancellation broke at n={n}, k={k}: "
+                f"{exact_str(low)} != {exact_str(prev_up)}"
             )
         total += term
         prev_up = up
     expected = n ** (n + 1)
     if total != expected:
         raise ConsistencyError(
-            f"telescoping sum at n={n} is {total}, expected n^(n+1) = {expected}"
+            f"telescoping sum at n={n} is {exact_str(total)}, "
+            f"expected n^(n+1) = {exact_str(expected)}"
         )
     return total
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from . import backend
-from .exact import DomainError
+from .exact import DomainError, exact_str
 
 __all__ = [
     "ConsistencyError",
@@ -47,7 +47,7 @@ def tree_series(order: int) -> tuple[int, ...]:
         bad = next(i for i in range(order + 1) if formula[i] != fixed_point[i])
         raise ConsistencyError(
             f"tree series constructions disagree at z^{bad}: "
-            f"formula {formula[bad]}, fixed point {fixed_point[bad]}"
+            f"formula {exact_str(formula[bad])}, fixed point {exact_str(fixed_point[bad])}"
         )
     return tuple(formula)
 
@@ -55,14 +55,15 @@ def tree_series(order: int) -> tuple[int, ...]:
 def geom_power(y: Sequence[int], d: int) -> tuple[int, ...]:
     """(1/(1 - y))^d truncated at len(y) - 1; y needs zero constant term.
 
-    Input and output are n!-scaled integer vectors.
+    Input and output are n!-scaled integer vectors.  One division-free
+    pass for any d (``egf_geom_power``): no reciprocal, no products of
+    powers.
     """
     if d < 1:
         raise DomainError(f"geom_power requires d >= 1, got {d}")
     if not y or y[0] != 0:
         raise DomainError("geom_power requires a zero constant term")
-    inverse = backend.kernels.egf_recip([1] + [-e for e in y[1:]])
-    return tuple(backend.kernels.egf_pow(inverse, d))
+    return tuple(backend.kernels.egf_geom_power(y, d))
 
 
 def egf_coeff(s: Sequence[int], n: int) -> int:

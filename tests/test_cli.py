@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -284,7 +285,9 @@ def test_verify_brute_fault_names_route_and_n(monkeypatch, capsys):
 
 def test_verify_series_fault_names_route(monkeypatch, capsys):
     monkeypatch.setattr(
-        backend.kernels, "egf_pow", _off_by_one_at(backend.kernels.egf_pow, 4)
+        backend.kernels,
+        "egf_geom_power",
+        _off_by_one_at(backend.kernels.egf_geom_power, 4),
     )
     code, _, err = main_out(capsys, "verify", "--from", "1", "--to", "8")
     assert code == 1
@@ -302,11 +305,18 @@ def test_verify_tree_fault_is_consistency_failure(monkeypatch, capsys):
 
 @pytest.mark.parametrize(
     "n, broken",
-    [(2, "telescoping sum"), (3, "cancellation"), (5, "cancellation"), (10, "cancellation")],
+    [
+        (2, "telescoping sum"),
+        (3, "cancellation"),
+        (5, "cancellation"),
+        (10, "cancellation"),
+        (2000, "cancellation"),
+    ],
 )
 def test_diff_fault_is_consistency_failure(monkeypatch, capsys, n, broken):
     # n! + 1 seeds the carried term off by one; at n = 2 every exact step
-    # still divides, so only the final sum can catch it
+    # still divides, so only the final sum can catch it.  At n = 2000 the
+    # message quotes ints past the 4300-digit int-to-str limit.
     monkeypatch.setattr(identity, "factorial", lambda m: math.factorial(m) + 1)
     with pytest.raises(ConsistencyError, match=broken):
         identity.telescoping_difference(n)
@@ -314,6 +324,38 @@ def test_diff_fault_is_consistency_failure(monkeypatch, capsys, n, broken):
     assert code == 1
     assert out == ""
     assert err.startswith("verification failure:") and broken in err
+
+
+# A failure message quotes the values that disagreed, in full: past the
+# 4300-digit int-to-str limit it must still be built, so the run exits 1
+# (a verification failure), not 70 (a crash).
+
+
+def test_identity_fault_past_digit_limit(monkeypatch, capsys):
+    monkeypatch.setattr(identity, "beta_closed", identity.alpha_closed)
+    code, out, err = main_out(
+        capsys, "verify", "--from", "2000", "--to", "2000", "--routes", "closed"
+    )
+    assert code == 1
+    assert out == ""
+    head = "verification failure: beta(2000) - alpha(2000) = 0 != n^(n+1) = "
+    assert err.startswith(head)
+    assert Decimal(err[len(head) :].rstrip()) == 2000**2001  # 6606 digits
+
+
+def test_tree_fault_past_digit_limit(monkeypatch, capsys):
+    # 1700^1699 has 5489 digits; the fault stands in for the fixed point
+    def broken(order):
+        y = [0] + [n ** (n - 1) for n in range(1, order + 1)]
+        y[-1] += 1
+        return y
+
+    monkeypatch.setattr(backend.kernels, "tree_egf", broken)
+    code, out, err = main_out(capsys, "series", "tree", "--order", "1700")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("verification failure: tree series constructions disagree at z^1700")
+    assert len(err) > 2 * 5489
 
 
 def test_internal_value_error_is_not_a_usage_error(monkeypatch, capsys):

@@ -306,18 +306,24 @@ def test_verify_detects_identity_failure(monkeypatch):
 
 
 def test_verify_detects_series_fault(monkeypatch):
-    real = backend.kernels.egf_pow
+    real = backend.kernels.egf_geom_power
 
-    def broken(u, d):
-        out = real(u, d)
+    def broken(y, d):
+        out = real(y, d)
         out[3] += 1
         return out
 
-    monkeypatch.setattr(backend.kernels, "egf_pow", broken)
+    monkeypatch.setattr(backend.kernels, "egf_geom_power", broken)
     with pytest.raises(RouteDisagreementError) as exc:
         verify_lacasse(3)
     assert set(exc.value.routes) == {"closed", "series"}
     assert exc.value.n == 3
+
+
+def test_route_disagreement_message_past_digit_limit():
+    # 10^5000 has 5001 digits, past the 4300-digit int-to-str limit
+    exc = RouteDisagreementError(2000, "alpha", ("closed", "series"), (10**5000, 10**5000 + 1))
+    assert str(exc).endswith(": 1" + "0" * 5000 + " vs 1" + "0" * 4999 + "1")
 
 
 def test_verify_range_ordering_and_contents():

@@ -14,11 +14,14 @@ from hypothesis import strategies as st
 
 from lacasse import _kernels_py, backend
 from oracles import (
+    add,
     comp_sum,
     egf_exp,
     egf_mul,
     exp_power_sum,
     mul,
+    one,
+    reciprocal_unit,
     to_egf,
     to_fractions,
     tree_fixed_point,
@@ -57,29 +60,27 @@ def test_egf_exp_matches_power_sum_oracle(u):
     assert to_fractions(egf_exp(u)) == exp_power_sum(to_fractions(u))
 
 
-@given(u=int_vectors)
-def test_egf_recip_times_input_is_one(u):
-    u = [1] + u[1:]
-    one = [1] + [0] * (len(u) - 1)
-    assert egf_mul(_kernels_py.egf_recip(u), u) == one
-
-
 @given(u=int_vectors, d=st.integers(min_value=1, max_value=6))
 @settings(deadline=None)
-def test_egf_pow_matches_repeated_mul(u, d):
-    want = list(u)
+def test_egf_geom_power_matches_fraction_oracle(u, d):
+    # (1/(1 - u))^d as the Fraction reciprocal of 1 - u multiplied d times
+    u = [0] + u[1:]
+    inv = reciprocal_unit(add(one(len(u) - 1), [-c for c in to_fractions(u)]))
+    want = inv
     for _ in range(d - 1):
-        want = egf_mul(want, u)
-    assert _kernels_py.egf_pow(u, d) == want
+        want = mul(want, inv)
+    assert _kernels_py.egf_geom_power(u, d) == to_egf(want)
 
 
 def test_egf_validation_errors(kernels):
-    with pytest.raises(ValueError):
-        kernels.egf_recip([2, 1])
-    with pytest.raises(ValueError):
-        kernels.egf_recip([])
-    with pytest.raises(ValueError):
-        kernels.egf_pow([1, 1], 0)
+    with pytest.raises(ValueError, match="d >= 1"):
+        kernels.egf_geom_power([0, 1], 0)
+    with pytest.raises(ValueError, match="d >= 1"):
+        kernels.egf_geom_power([0, 1], -1)
+    with pytest.raises(ValueError, match="constant term 0"):
+        kernels.egf_geom_power([1, 1], 2)
+    with pytest.raises(ValueError, match="constant term 0"):
+        kernels.egf_geom_power([], 2)
 
 
 def test_tree_egf_small_values(kernels):
@@ -139,7 +140,7 @@ def test_kernels_leave_no_reference_cycles(kernels):
     try:
         gc.collect()
         kernels.comp_power_sum(40, 4)
-        kernels.tree_egf(40)
+        kernels.egf_geom_power(kernels.tree_egf(40), 3)
         assert gc.collect() == 0
     finally:
         gc.enable()

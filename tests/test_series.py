@@ -225,9 +225,26 @@ def test_geom_power_egf_integrality():
     y = to_fractions(tree_series(40))
     inv = reciprocal_unit(add(one(40), [-c for c in y]))
     power = one(40)
-    for d in range(1, 6):
+    for d in range(1, 13):
         power = mul(power, inv)
         assert to_egf(power) == list(geom_power(tree_series(40), d))
+
+
+# The two facts behind the identity (Prodinger, arXiv 1301.3669), at order 300.
+
+
+def test_geom_power_tree_d1_is_m_to_the_m_at_order_300():
+    # 1/(1 - T) = sum m^m z^m / m!
+    s = geom_power(tree_series(300), 1)
+    assert list(s) == [m**m for m in range(301)]
+
+
+def test_geom_power_tree_d3_minus_d2_is_m_to_the_m_plus_1_at_order_300():
+    # zT' = T/(1 - T) gives (zD)^2 T = T/(1 - T)^3, and
+    # 1/(1 - T)^3 - 1/(1 - T)^2 = T/(1 - T)^3: beta(m) - alpha(m) = m^(m+1)
+    t = tree_series(300)
+    s2, s3 = geom_power(t, 2), geom_power(t, 3)
+    assert [s3[m] - s2[m] for m in range(301)] == [m ** (m + 1) for m in range(301)]
 
 
 def test_geom_power_validation():
