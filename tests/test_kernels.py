@@ -72,6 +72,26 @@ def test_egf_geom_power_matches_fraction_oracle(u, d):
     assert _kernels_py.egf_geom_power(u, d) == to_egf(want)
 
 
+@given(u=int_vectors)
+def test_egf_recip_times_input_is_one(u):
+    # the d = 1 power is the reciprocal of 1 - u
+    u = [0] + u[1:]
+    one_minus_u = [1] + [-c for c in u[1:]]
+    one = [1] + [0] * (len(u) - 1)
+    assert egf_mul(_kernels_py.egf_geom_power(u, 1), one_minus_u) == one
+
+
+@given(u=int_vectors, d=st.integers(min_value=1, max_value=6))
+@settings(deadline=None)
+def test_egf_pow_matches_repeated_mul(u, d):
+    u = [0] + u[1:]
+    inv = _kernels_py.egf_geom_power(u, 1)
+    want = list(inv)
+    for _ in range(d - 1):
+        want = egf_mul(want, inv)
+    assert _kernels_py.egf_geom_power(u, d) == want
+
+
 def test_egf_validation_errors(kernels):
     with pytest.raises(ValueError, match="d >= 1"):
         kernels.egf_geom_power([0, 1], 0)
