@@ -7,9 +7,16 @@ coefficient of z^m.  For every series handled here (the tree function and
 the powers of 1/(1 - y)) those entries are integers, and each kernel is one
 recurrence of binomial convolutions with Pascal-row weights, so it never
 leaves the integers, never divides and never touches a gcd.
+
+``comp_power_sum``, the brute-force route, is built the same way but from
+the definition alone: it sums over weak compositions, seeded with k^k, and
+touches neither the tree function nor the closed forms.  One call sweeps a
+whole window of n.
 """
 
 from __future__ import annotations
+
+from operator import add, mul
 
 
 def pascal_rows(order: int) -> list[list[int]]:
@@ -78,39 +85,39 @@ def tree_egf(order: int) -> list:
     return y
 
 
-def comp_power_sum(n: int, d: int) -> int:
-    """Sum of multinomial(parts) * prod(k_i^k_i) over weak compositions of n into d parts.
+def comp_power_sum(first: int, last: int, d: int) -> list:
+    """s_d(n) for n = first..last: the sum over the weak compositions of n
+    into d parts of multinomial(parts) * prod(k_i^k_i), with 0^0 == 1.
 
-    Deliberately a plain enumeration (the oracle for the closed forms):
-    each of the C(n+d-1, d-1) compositions contributes exactly one term,
-    and no partial sum is shared between compositions.  The multinomial is
-    a product of Pascal-row binomials taken part by part: a part j of the
-    r still to place contributes C(r, j) * j^j, multiplied once into the
-    factor that every composition under it shares.  The last two parts
-    (j, r - j) add C(r, j) * j^j * (r-j)^(r-j) each.  0^0 == 1.
+    A weak composition of n is a first part k followed by a composition of
+    n - k into d - 1 parts, and multinomial(n; k, rest) = C(n, k) *
+    multinomial(n - k; rest), so grouping by the first part gives
+    s_e(n) = sum_k C(n, k) k^k s_(e-1)(n - k) from s_1(m) = m^m.  One sweep
+    over n = 0..last carries a single Pascal row, advanced by addition,
+    and for each n runs the d - 1 rounds on the shared weights
+    C(n, k) k^k; only the last round is restricted to first..last.  Each
+    sub-sum s_e(m) is thus built once and reused by every n above m:
+    about d * last^2 / 2 products for the whole window, with no division
+    and no table of binomials.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    if first < 0 or last < first:
+        raise ValueError(f"invalid window [{first}, {last}]; need 0 <= first <= last")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    powt = [k**k for k in range(n + 1)]
+    powt = [k**k for k in range(last + 1)]
     if d == 1:
-        return powt[n]
-    rows = pascal_rows(n)
-    total = 0
-    # depth first over the leading d - 2 parts, without recursion (d is not
-    # bounded by the recursion limit): (left to place, parts left, factor)
-    todo = [(n, d, 1)]
-    while todo:
-        r, parts, f = todo.pop()
-        if r == 0:  # the one composition whose remaining parts are all 0
-            total += f
-            continue
-        row = rows[r]
-        if parts == 2:
-            tail = reversed(powt[: r + 1])  # (r-j)^(r-j) for j = 0..r
-            total += f * sum(c * (p * q) for c, p, q in zip(row, powt, tail))
-        else:
-            for j in range(r + 1):
-                todo.append((r - j, parts - 1, f * row[j] * powt[j]))
-    return total
+        return powt[first:]
+    mids = [[] for _ in range(d - 2)]  # s_2 .. s_(d-1) at 0..n
+    out = []
+    row = [1]
+    for n in range(last + 1):
+        if n:
+            row = [1, *map(add, row, row[1:]), 1]
+        w = list(map(mul, row, powt))  # C(n, k) k^k for k = 0..n
+        prev = powt
+        for s in mids:
+            s.append(sum(map(mul, w, reversed(prev[: n + 1]))))
+            prev = s
+        if n >= first:
+            out.append(sum(map(mul, w, reversed(prev[: n + 1]))))
+    return out

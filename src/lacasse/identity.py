@@ -251,14 +251,15 @@ def verify_lacasse(
 
 
 def _verify_task(args) -> VerificationReport:
-    # one n of verify_range; series_values is the (alpha, beta) pair read
-    # off the shared series tables, or None when the route is off
-    n, brute, cutoff, series_values = args
+    # one n of verify_range; brute_beta is n's entry of the brute sweep and
+    # series_values the (alpha, beta) pair read off the shared series
+    # tables, each None when its route is off or dropped at this n
+    n, brute_beta, series_values = args
     alpha_by = {"closed": alpha_closed(n)}
     beta_by = {"closed": beta_closed(n)}
-    if brute and brute_force_admitted(n, 3, cutoff):
+    if brute_beta is not None:
         alpha_by["brute"] = alpha_direct(n)
-        beta_by["brute"] = backend.kernels.comp_power_sum(n, 3)
+        beta_by["brute"] = brute_beta
     if series_values is not None:
         alpha_by["series"], beta_by["series"] = series_values
     _require_agreement(n, "alpha", alpha_by)
@@ -289,9 +290,12 @@ def verify_range(
 ) -> list[VerificationReport]:
     """verify_lacasse for every n in [first, last], reports ordered by n.
 
-    The series tables are built once at order ``last`` and shared across
-    the whole range; per-n work fans out over up to ``jobs`` processes,
-    never more than there are values of n or CPUs (results are identical
+    Two routes run once for the whole range, in this process, before the
+    per-n fan-out: the series tables are built at order ``last``, and the
+    brute-force beta is one ``comp_power_sum`` sweep over the admitted
+    prefix of the range (admission only ever drops n from the top).  The
+    remaining per-n work fans out over up to ``jobs`` processes, never
+    more than there are values of n or CPUs (results are identical
     regardless of jobs).
     """
     if first < 1 or last < first:
@@ -308,9 +312,14 @@ def verify_range(
         s3 = _series.geom_power(t, 3)
         for n in range(first, last + 1):
             series_values[n] = (_series.egf_coeff(s2, n), _series.egf_coeff(s3, n))
-    brute = "brute" in requested
+    brute_beta: dict[int, int] = {}
+    if "brute" in requested:
+        admitted = [n for n in range(first, last + 1) if brute_force_admitted(n, 3, cutoff)]
+        if admitted:
+            sweep = backend.kernels.comp_power_sum(first, admitted[-1], 3)
+            brute_beta = dict(zip(admitted, sweep))
     tasks = [
-        (n, brute, cutoff, series_values.get(n)) for n in range(first, last + 1)
+        (n, brute_beta.get(n), series_values.get(n)) for n in range(first, last + 1)
     ]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers == 1:

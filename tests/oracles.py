@@ -9,8 +9,10 @@ Deliberately naive and independent of the integer kernels they certify:
 * ``tree_fixed_point`` is the plain fixed-point iteration of y = z*exp(y)
   on ``egf_exp``, against ``tree_egf``'s online solve;
 * ``CompositionCursor``, ``comp_sum`` and ``beta_direct`` enumerate weak
-  compositions as tuples and weight each with ``multinomial``, a factorial
-  quotient, apart from ``comp_power_sum``'s Pascal-row products;
+  compositions as tuples, one term per composition, and weight each with
+  ``multinomial``, a factorial quotient, apart from ``comp_power_sum``'s
+  sweep, which groups compositions by their first part and shares each
+  sub-sum across every n of a window;
 * ``alpha_formula`` and ``beta_formula`` are the README's closed sums with
   each n!/k! a factorial division, apart from ``s_d_closed``'s
   Horner loop over falling factorials.

@@ -274,13 +274,40 @@ def _off_by_one_at(fn, index):
 
 def test_verify_brute_fault_names_route_and_n(monkeypatch, capsys):
     real = backend.kernels.comp_power_sum
-    monkeypatch.setattr(
-        backend.kernels, "comp_power_sum", lambda n, d: real(n, d) + (n == 5)
+
+    def broken(first, last, d):
+        out = real(first, last, d)
+        return [v + (n == 5) for n, v in enumerate(out, start=first)]
+
+    monkeypatch.setattr(backend.kernels, "comp_power_sum", broken)
+    # from 3, an n read off the sweep at the wrong offset would miss n = 5
+    for first in ("1", "3"):
+        code, _, err = main_out(capsys, "verify", "--from", first, "--to", "8")
+        assert code == 1
+        assert "verification failure" in err
+        assert "'brute'" in err and "beta(5)" in err
+
+
+def test_verify_brute_cutoff_boundary(monkeypatch, capsys):
+    # C(11+2, 2) = 78 compositions admits n = 11; n = 12 has 91
+    calls = []
+    real = backend.kernels.comp_power_sum
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(backend.kernels, "comp_power_sum", spy)
+    code, out, _ = main_out(
+        capsys, "verify", "--from", "5", "--to", "12", "--brute-cutoff", "78"
     )
-    code, _, err = main_out(capsys, "verify", "--from", "1", "--to", "8")
-    assert code == 1
-    assert "verification failure" in err
-    assert "'brute'" in err and "beta(5)" in err
+    assert code == 0
+    assert calls == [(5, 11, 3)]  # one sweep over the admitted prefix
+    lines = out.splitlines()
+    for line in lines[:7]:
+        assert " routes=closed,brute,series PASS" in line
+    assert lines[7].startswith("n=12 ") and " routes=closed,series PASS" in lines[7]
+    assert lines[8] == "verify [5,12]: 8/8 passed"
 
 
 def test_verify_series_fault_names_route(monkeypatch, capsys):
@@ -462,6 +489,17 @@ def test_bench_json(capsys):
     assert {r["route"] for r in rows[:-1]} == {"closed", "series", "brute"}
     for r in rows[:-1]:
         assert set(r) == {"route", "median_seconds", "n_max", "d", "repetitions"}
+
+
+def test_bench_csv_reports_agreement_on_stderr(capsys):
+    code, out, err = main_out(
+        capsys, "bench", "--n-max", "4", "--repetitions", "1", "--format", "csv"
+    )
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["route", "median_seconds"]
+    assert [r[0] for r in rows[1:]] == ["closed", "series", "brute"]
+    assert err == "values agree across routes: yes\n"
 
 
 def test_bench_single_row_range(capsys):

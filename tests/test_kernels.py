@@ -135,22 +135,27 @@ def test_tree_egf_rejects_negative(kernels):
 
 
 def test_comp_power_sum_examples(kernels):
-    assert kernels.comp_power_sum(2, 2) == 10
-    assert kernels.comp_power_sum(1, 3) == 3
-    assert kernels.comp_power_sum(0, 4) == 1
-    assert kernels.comp_power_sum(7, 1) == 7**7
+    assert kernels.comp_power_sum(2, 2, 2) == [10]
+    assert kernels.comp_power_sum(1, 1, 3) == [3]
+    assert kernels.comp_power_sum(0, 0, 4) == [1]
+    assert kernels.comp_power_sum(7, 7, 1) == [7**7]
+    assert kernels.comp_power_sum(0, 2, 2) == [1, 2, 10]
 
 
 def test_comp_power_sum_matches_cursor_oracle(kernels):
+    # every window [first, last] with last <= 12: first = 0, first = last
+    # and first > 0 alike, so a window misaligned by first shows
     for d in range(1, 7):
-        for n in range(13):
-            assert kernels.comp_power_sum(n, d) == comp_sum(n, d)
+        want = [comp_sum(n, d) for n in range(13)]
+        for first in range(13):
+            for last in range(first, 13):
+                assert kernels.comp_power_sum(first, last, d) == want[first : last + 1]
 
 
 def test_comp_power_sum_part_count_beyond_recursion_limit(kernels):
     # n = 1 has d compositions, one 1 among zeros, each of weight 1
-    assert kernels.comp_power_sum(1, 3000) == 3000
-    assert kernels.comp_power_sum(0, 3000) == 1
+    assert kernels.comp_power_sum(0, 1, 3000) == [1, 3000]
+    assert kernels.comp_power_sum(1, 1, 3000) == [3000]
 
 
 def test_kernels_leave_no_reference_cycles(kernels):
@@ -159,7 +164,7 @@ def test_kernels_leave_no_reference_cycles(kernels):
     gc.disable()
     try:
         gc.collect()
-        kernels.comp_power_sum(40, 4)
+        kernels.comp_power_sum(0, 40, 4)
         kernels.egf_geom_power(kernels.tree_egf(40), 3)
         assert gc.collect() == 0
     finally:
@@ -167,8 +172,6 @@ def test_kernels_leave_no_reference_cycles(kernels):
 
 
 def test_comp_power_sum_validation(kernels):
-    with pytest.raises(ValueError):
-        kernels.comp_power_sum(-1, 3)
-    with pytest.raises(ValueError):
-        kernels.comp_power_sum(3, 0)
-
+    for first, last, d in ((-1, 3, 3), (4, 3, 3), (0, 3, 0), (2, 2, -1)):
+        with pytest.raises(ValueError):
+            kernels.comp_power_sum(first, last, d)
