@@ -5,33 +5,19 @@ Callers reach these through ``backend.kernels``.
 Series kernels work on EGF integer vectors: entry m holds m! times the
 coefficient of z^m.  For every series handled here (the tree function and
 the powers of 1/(1 - y)) those entries are integers, and each kernel is one
-recurrence of binomial convolutions with Pascal-row weights, so it never
-leaves the integers, never divides and never touches a gcd.
+recurrence of binomial convolutions whose weights come from one Pascal
+row, advanced by addition from step to step, so it never leaves the
+integers, never divides, never touches a gcd and holds no Pascal table.
 
 ``comp_power_sum``, the brute-force route, is built the same way but from
 the definition alone: it sums over weak compositions, seeded with k^k, and
 touches neither the tree function nor the closed forms.  One call sweeps a
-whole window of n.
+whole window of n and returns every round, s_1 through s_d.
 """
 
 from __future__ import annotations
 
 from operator import add, mul
-
-
-def pascal_rows(order: int) -> list[list[int]]:
-    """Rows 0..order of Pascal's triangle, built by the additive recurrence."""
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    rows = [[1]]
-    for m in range(1, order + 1):
-        prev = rows[-1]
-        row = [1]
-        for j in range(1, m):
-            row.append(prev[j - 1] + prev[j])
-        row.append(1)
-        rows.append(row)
-    return rows
 
 
 def egf_geom_power(y: list, d: int) -> list:
@@ -49,10 +35,11 @@ def egf_geom_power(y: list, d: int) -> list:
     if not y or y[0] != 0:
         raise ValueError("egf_geom_power requires constant term 0")
     n = len(y) - 1
-    rows = pascal_rows(max(n - 1, 0))
     p = [1]
+    row = [1]  # row m - 1 of Pascal's triangle at step m
     for m in range(1, n + 1):
-        row = rows[m - 1]
+        if m > 1:
+            row = [1, *map(add, row, row[1:]), 1]
         acc = d * y[m]  # k = m: C(m-1, m) = 0, C(m-1, m-1) = 1, P[0] = 1
         for k in range(1, m):
             acc += (row[k] + d * row[k - 1]) * y[k] * p[m - k]
@@ -71,13 +58,14 @@ def tree_egf(order: int) -> list:
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    rows = pascal_rows(max(order - 1, 0))
     y = [0] * (order + 1)
     g = [1]
+    row = [1]  # row m - 1 of Pascal's triangle at step m
     for m in range(1, order + 1):
         y[m] = m * g[m - 1]
         if m < order:
-            row = rows[m - 1]
+            if m > 1:
+                row = [1, *map(add, row, row[1:]), 1]
             acc = 0
             for j in range(1, m + 1):
                 acc += row[j - 1] * y[j] * g[m - j]
@@ -86,19 +74,20 @@ def tree_egf(order: int) -> list:
 
 
 def comp_power_sum(first: int, last: int, d: int) -> list:
-    """s_d(n) for n = first..last: the sum over the weak compositions of n
-    into d parts of multinomial(parts) * prod(k_i^k_i), with 0^0 == 1.
+    """[s_1, ..., s_d], each a list of s_e(n) for n = first..last: the sum
+    over the weak compositions of n into e parts of multinomial(parts) *
+    prod(k_i^k_i), with 0^0 == 1.
 
     A weak composition of n is a first part k followed by a composition of
-    n - k into d - 1 parts, and multinomial(n; k, rest) = C(n, k) *
+    n - k into e - 1 parts, and multinomial(n; k, rest) = C(n, k) *
     multinomial(n - k; rest), so grouping by the first part gives
     s_e(n) = sum_k C(n, k) k^k s_(e-1)(n - k) from s_1(m) = m^m.  One sweep
     over n = 0..last carries a single Pascal row, advanced by addition,
     and for each n runs the d - 1 rounds on the shared weights
-    C(n, k) k^k; only the last round is restricted to first..last.  Each
-    sub-sum s_e(m) is thus built once and reused by every n above m:
-    about d * last^2 / 2 products for the whole window, with no division
-    and no table of binomials.
+    C(n, k) k^k.  Each sub-sum s_e(m) is thus built once and reused by
+    every n above m: about d * last^2 / 2 products for the whole window,
+    with no division and no table of binomials.  Round 2 is alpha and
+    round 3 is beta.
     """
     if first < 0 or last < first:
         raise ValueError(f"invalid window [{first}, {last}]; need 0 <= first <= last")
@@ -106,18 +95,15 @@ def comp_power_sum(first: int, last: int, d: int) -> list:
         raise ValueError(f"d must be >= 1, got {d}")
     powt = [k**k for k in range(last + 1)]
     if d == 1:
-        return powt[first:]
-    mids = [[] for _ in range(d - 2)]  # s_2 .. s_(d-1) at 0..n
-    out = []
+        return [powt[first:]]
+    rounds = [powt, *([] for _ in range(d - 1))]  # s_2 .. s_d gain one entry per n
     row = [1]
     for n in range(last + 1):
         if n:
             row = [1, *map(add, row, row[1:]), 1]
         w = list(map(mul, row, powt))  # C(n, k) k^k for k = 0..n
         prev = powt
-        for s in mids:
+        for s in rounds[1:]:
             s.append(sum(map(mul, w, reversed(prev[: n + 1]))))
             prev = s
-        if n >= first:
-            out.append(sum(map(mul, w, reversed(prev[: n + 1]))))
-    return out
+    return [s[first:] for s in rounds]

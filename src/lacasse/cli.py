@@ -199,8 +199,9 @@ def cmd_bench(args) -> int:
         return [series_mod.egf_coeff(p, n) for n in range(1, n_max + 1)]
 
     def run_brute():
-        # admission only ever drops n from the top, so this is 1..admitted[-1]
-        return backend.kernels.comp_power_sum(1, admitted[-1], d) if admitted else []
+        # admission only ever drops n from the top, so this is 1..admitted[-1];
+        # s_d is the sweep's last round
+        return backend.kernels.comp_power_sum(1, admitted[-1], d)[-1] if admitted else []
 
     rows = []
     values = {}

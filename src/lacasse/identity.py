@@ -1,5 +1,6 @@
-"""Closed forms for alpha, beta and the general d-part sum, their brute-force
-oracles, the Lacasse identity verifier, and Ramanujan's Q-function.
+"""Closed forms for alpha, beta and the general d-part sum, the Lacasse
+identity verifier over the closed, brute-force and series routes, and
+Ramanujan's Q-function.
 
 The quantities, for n >= 0 (0^0 == 1 throughout):
 
@@ -33,7 +34,6 @@ __all__ = [
     "RouteDisagreementError",
     "VerificationReport",
     "alpha_closed",
-    "alpha_direct",
     "beta_closed",
     "brute_force_admitted",
     "ramanujan_q",
@@ -90,13 +90,6 @@ class VerificationReport:
     expected: int
     routes_compared: tuple[str, ...]
     passed: bool
-
-
-def alpha_direct(n: int) -> int:
-    """The definitional sum sum_k C(n,k) k^k (n-k)^(n-k)."""
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
-    return sum(comb(n, k) * k**k * (n - k) ** (n - k) for k in range(n + 1))
 
 
 def alpha_closed(n: int) -> int:
@@ -251,17 +244,15 @@ def verify_lacasse(
 
 
 def _verify_task(args) -> VerificationReport:
-    # one n of verify_range; brute_beta is n's entry of the brute sweep and
-    # series_values the (alpha, beta) pair read off the shared series
-    # tables, each None when its route is off or dropped at this n
-    n, brute_beta, series_values = args
+    # one n of verify_range; brute_values and series_values are the
+    # (alpha, beta) pairs read off the brute sweep and the series tables,
+    # each None when its route is off or dropped at this n
+    n, brute_values, series_values = args
     alpha_by = {"closed": alpha_closed(n)}
     beta_by = {"closed": beta_closed(n)}
-    if brute_beta is not None:
-        alpha_by["brute"] = alpha_direct(n)
-        beta_by["brute"] = brute_beta
-    if series_values is not None:
-        alpha_by["series"], beta_by["series"] = series_values
+    for route, values in (("brute", brute_values), ("series", series_values)):
+        if values is not None:
+            alpha_by[route], beta_by[route] = values
     _require_agreement(n, "alpha", alpha_by)
     _require_agreement(n, "beta", beta_by)
     alpha = alpha_by["closed"]
@@ -292,11 +283,11 @@ def verify_range(
 
     Two routes run once for the whole range, in this process, before the
     per-n fan-out: the series tables are built at order ``last``, and the
-    brute-force beta is one ``comp_power_sum`` sweep over the admitted
-    prefix of the range (admission only ever drops n from the top).  The
-    remaining per-n work fans out over up to ``jobs`` processes, never
-    more than there are values of n or CPUs (results are identical
-    regardless of jobs).
+    brute-force alpha and beta are rounds 2 and 3 of one ``comp_power_sum``
+    sweep over the admitted prefix of the range (admission only ever drops
+    n from the top).  The remaining per-n work fans out over up to ``jobs``
+    processes, never more than there are values of n or CPUs (results are
+    identical regardless of jobs).
     """
     if first < 1 or last < first:
         raise DomainError(f"invalid range [{first}, {last}]; need 1 <= from <= to")
@@ -312,14 +303,14 @@ def verify_range(
         s3 = _series.geom_power(t, 3)
         for n in range(first, last + 1):
             series_values[n] = (_series.egf_coeff(s2, n), _series.egf_coeff(s3, n))
-    brute_beta: dict[int, int] = {}
+    brute_values: dict[int, tuple[int, int]] = {}
     if "brute" in requested:
         admitted = [n for n in range(first, last + 1) if brute_force_admitted(n, 3, cutoff)]
         if admitted:
-            sweep = backend.kernels.comp_power_sum(first, admitted[-1], 3)
-            brute_beta = dict(zip(admitted, sweep))
+            _, s2, s3 = backend.kernels.comp_power_sum(first, admitted[-1], 3)
+            brute_values = dict(zip(admitted, zip(s2, s3)))
     tasks = [
-        (n, brute_beta.get(n), series_values.get(n)) for n in range(first, last + 1)
+        (n, brute_values.get(n), series_values.get(n)) for n in range(first, last + 1)
     ]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers == 1:

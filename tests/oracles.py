@@ -12,7 +12,9 @@ Deliberately naive and independent of the integer kernels they certify:
   compositions as tuples, one term per composition, and weight each with
   ``multinomial``, a factorial quotient, apart from ``comp_power_sum``'s
   sweep, which groups compositions by their first part and shares each
-  sub-sum across every n of a window;
+  sub-sum across every n and every round of a window;
+* ``alpha_direct`` is the definitional two-part sum for one n, with fresh
+  ``math.comb`` and powers in every term, against round 2 of that sweep;
 * ``alpha_formula`` and ``beta_formula`` are the README's closed sums with
   each n!/k! a factorial division, apart from ``s_d_closed``'s
   Horner loop over falling factorials.
@@ -216,6 +218,13 @@ def comp_sum(n: int, d: int) -> int:
             w *= k**k  # 0**0 == 1
         total += w
     return total
+
+
+def alpha_direct(n: int) -> int:
+    """The definitional sum sum_k C(n,k) k^k (n-k)^(n-k)."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    return sum(comb(n, k) * k**k * (n - k) ** (n - k) for k in range(n + 1))
 
 
 def beta_direct(n: int) -> int:

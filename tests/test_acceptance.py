@@ -18,7 +18,6 @@ from lacasse import cli, identity
 from lacasse._kernels_py import comp_power_sum
 from lacasse.identity import (
     alpha_closed,
-    alpha_direct,
     beta_closed,
     ramanujan_q,
     s_d_closed,
@@ -26,7 +25,7 @@ from lacasse.identity import (
     verify_range,
 )
 from lacasse.series import egf_coeff, geom_power, tree_series
-from oracles import beta_direct, exp_trunc, mul, to_fractions, z
+from oracles import alpha_direct, beta_direct, exp_trunc, mul, to_fractions, z
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -75,7 +74,7 @@ def test_criterion_04_general_d_coefficient_formula():
     ok = True
     for d in range(1, 6):
         s = geom_power(t, d)
-        brute = comp_power_sum(0, 30, d)
+        brute = comp_power_sum(0, 30, d)[-1]
         for n in range(31):
             closed = s_d_closed(n, d)
             series_val = egf_coeff(s, n)

@@ -272,20 +272,37 @@ def _off_by_one_at(fn, index):
     return broken
 
 
-def test_verify_brute_fault_names_route_and_n(monkeypatch, capsys):
+def _sweep_off_by_one_at(n, round_index):
+    # comp_power_sum with one entry of one round, at n, one too large
     real = backend.kernels.comp_power_sum
 
     def broken(first, last, d):
-        out = real(first, last, d)
-        return [v + (n == 5) for n, v in enumerate(out, start=first)]
+        rounds = real(first, last, d)
+        rounds[round_index][n - first] += 1
+        return rounds
 
-    monkeypatch.setattr(backend.kernels, "comp_power_sum", broken)
+    return broken
+
+
+def test_verify_brute_fault_names_route_and_n(monkeypatch, capsys):
+    monkeypatch.setattr(backend.kernels, "comp_power_sum", _sweep_off_by_one_at(5, -1))
     # from 3, an n read off the sweep at the wrong offset would miss n = 5
     for first in ("1", "3"):
         code, _, err = main_out(capsys, "verify", "--from", first, "--to", "8")
         assert code == 1
         assert "verification failure" in err
         assert "'brute'" in err and "beta(5)" in err
+
+
+def test_verify_brute_alpha_fault_names_route_pair_and_n(monkeypatch, capsys):
+    # round 2 of the sweep is the brute alpha; breaking it alone must show
+    # as alpha, against the closed route, at the broken n
+    monkeypatch.setattr(backend.kernels, "comp_power_sum", _sweep_off_by_one_at(5, 1))
+    for first in ("1", "3"):
+        code, _, err = main_out(capsys, "verify", "--from", first, "--to", "8")
+        assert code == 1
+        assert "verification failure" in err
+        assert "routes 'closed' and 'brute' disagree on alpha(5)" in err
 
 
 def test_verify_brute_cutoff_boundary(monkeypatch, capsys):
@@ -504,6 +521,15 @@ def test_bench_csv_reports_agreement_on_stderr(capsys):
 
 def test_bench_single_row_range(capsys):
     code, out, _ = main_out(capsys, "bench", "--n-max", "1", "--repetitions", "1")
+    assert code == 0
+    assert "values agree across routes: yes" in out
+
+
+def test_bench_d1_routes_agree(capsys):
+    # at d = 1 the sweep is its first round alone, s_1(n) = n^n
+    code, out, _ = main_out(
+        capsys, "bench", "--n-max", "8", "--d", "1", "--repetitions", "1"
+    )
     assert code == 0
     assert "values agree across routes: yes" in out
 

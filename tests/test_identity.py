@@ -12,7 +12,6 @@ from lacasse.identity import (
     IdentityFailureError,
     RouteDisagreementError,
     alpha_closed,
-    alpha_direct,
     beta_closed,
     brute_force_admitted,
     ramanujan_q,
@@ -24,7 +23,13 @@ from lacasse.identity import (
     xi2,
 )
 from lacasse.series import egf_coeff, geom_power, tree_series
-from oracles import CompositionCursor, alpha_formula, beta_direct, beta_formula
+from oracles import (
+    CompositionCursor,
+    alpha_direct,
+    alpha_formula,
+    beta_direct,
+    beta_formula,
+)
 
 F = Fraction
 
@@ -46,12 +51,13 @@ def test_alpha_closed_examples():
 
 
 def test_alpha_routes_agree_midrange():
+    brute = comp_power_sum(0, 60, 3)[1]  # round 2 of verify_range's sweep
     for n in range(61):
-        assert alpha_direct(n) == alpha_closed(n)
+        assert alpha_direct(n) == alpha_closed(n) == brute[n]
 
 
 def test_alpha_rejects_negative():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError):
         alpha_direct(-1)
     with pytest.raises(DomainError):
         alpha_closed(-1)
@@ -74,7 +80,7 @@ def test_beta_closed_examples():
 
 
 def test_beta_routes_agree_midrange():
-    brute = comp_power_sum(0, 40, 3)
+    brute = comp_power_sum(0, 40, 3)[-1]
     for n in range(41):
         assert beta_direct(n) == beta_closed(n) == brute[n]
 
@@ -102,7 +108,7 @@ def test_s_d_routes_agree_small_grid():
     for d in range(1, 6):
         t = tree_series(15)
         s = geom_power(t, d)
-        brute = comp_power_sum(0, 15, d)
+        brute = comp_power_sum(0, 15, d)[-1]
         for n in range(16):
             closed = s_d_closed(n, d)
             assert closed == brute[n]
@@ -136,11 +142,11 @@ def test_s_d_validation():
 
 
 def test_xi_scaled_brute_examples():
-    # the brute composition sum, now the comp_power_sum kernel
-    assert comp_power_sum(2, 2, 2) == [10]  # (0,2),(1,1),(2,0) -> 4+2+4
-    assert comp_power_sum(1, 1, 3) == [3] == [beta_direct(1)]
+    # the brute composition sum, now the last round of comp_power_sum
+    assert comp_power_sum(2, 2, 2)[-1] == [10]  # (0,2),(1,1),(2,0) -> 4+2+4
+    assert comp_power_sum(1, 1, 3)[-1] == [3] == [beta_direct(1)]
     for d in range(1, 7):
-        assert comp_power_sum(0, 0, d) == [1]
+        assert comp_power_sum(0, 0, d)[-1] == [1]
 
 
 # --- xi, xi2 ----------------------------------------------------------------
@@ -293,7 +299,15 @@ def test_verify_closed_only_route():
 
 
 def test_verify_detects_route_disagreement(monkeypatch):
-    monkeypatch.setattr(identity, "alpha_direct", lambda n: alpha_closed(n) + 1)
+    # break round 2 of the brute sweep, the brute alpha, at n = 4 only
+    real = backend.kernels.comp_power_sum
+
+    def broken(first, last, d):
+        rounds = real(first, last, d)
+        rounds[1][4 - first] += 1
+        return rounds
+
+    monkeypatch.setattr(backend.kernels, "comp_power_sum", broken)
     with pytest.raises(RouteDisagreementError) as exc:
         verify_lacasse(4)
     assert exc.value.quantity == "alpha"

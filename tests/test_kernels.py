@@ -6,7 +6,6 @@ certify.
 """
 
 import gc
-from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -34,18 +33,6 @@ def test_backend_kernels_is_the_kernel_module():
     # series and identity call through this attribute, and the benchmark's
     # per-layer tracer rebinds it; it must be the module the tests check
     assert backend.kernels is _kernels_py
-
-
-def test_pascal_rows_match_comb(kernels):
-    rows = kernels.pascal_rows(25)
-    for m in range(26):
-        for j in range(m + 1):
-            assert rows[m][j] == comb(m, j)
-
-
-def test_pascal_rows_rejects_negative(kernels):
-    with pytest.raises(ValueError):
-        kernels.pascal_rows(-1)
 
 
 @given(u=int_vectors, v=int_vectors)
@@ -135,32 +122,37 @@ def test_tree_egf_rejects_negative(kernels):
 
 
 def test_comp_power_sum_examples(kernels):
-    assert kernels.comp_power_sum(2, 2, 2) == [10]
-    assert kernels.comp_power_sum(1, 1, 3) == [3]
-    assert kernels.comp_power_sum(0, 0, 4) == [1]
-    assert kernels.comp_power_sum(7, 7, 1) == [7**7]
-    assert kernels.comp_power_sum(0, 2, 2) == [1, 2, 10]
+    assert kernels.comp_power_sum(2, 2, 2) == [[4], [10]]
+    assert kernels.comp_power_sum(1, 1, 3) == [[1], [2], [3]]
+    assert kernels.comp_power_sum(0, 0, 4) == [[1]] * 4
+    assert kernels.comp_power_sum(7, 7, 1) == [[7**7]]
+    assert kernels.comp_power_sum(0, 2, 2) == [[1, 1, 4], [1, 2, 10]]
 
 
 def test_comp_power_sum_matches_cursor_oracle(kernels):
-    # every window [first, last] with last <= 12: first = 0, first = last
-    # and first > 0 alike, so a window misaligned by first shows
+    # every round e = 1..d on every window [first, last] with last <= 12:
+    # first = 0, first = last and first > 0 alike, so a window misaligned
+    # by first, or a round misaligned by e, shows
+    want = {(n, e): comp_sum(n, e) for n in range(13) for e in range(1, 7)}
     for d in range(1, 7):
-        want = [comp_sum(n, d) for n in range(13)]
         for first in range(13):
             for last in range(first, 13):
-                assert kernels.comp_power_sum(first, last, d) == want[first : last + 1]
+                rounds = kernels.comp_power_sum(first, last, d)
+                assert rounds == [
+                    [want[n, e] for n in range(first, last + 1)] for e in range(1, d + 1)
+                ]
 
 
 def test_comp_power_sum_part_count_beyond_recursion_limit(kernels):
-    # n = 1 has d compositions, one 1 among zeros, each of weight 1
-    assert kernels.comp_power_sum(0, 1, 3000) == [1, 3000]
-    assert kernels.comp_power_sum(1, 1, 3000) == [3000]
+    # n = 1 has e compositions into e parts, one 1 among zeros, each of
+    # weight 1
+    assert kernels.comp_power_sum(0, 1, 3000) == [[1, e] for e in range(1, 3001)]
+    assert kernels.comp_power_sum(1, 1, 3000)[-1] == [3000]
 
 
 def test_kernels_leave_no_reference_cycles(kernels):
-    # a cycle keeps a call's Pascal table alive until the cyclic collector
-    # runs, which shows up as peak RSS in a sweep of calls
+    # a cycle keeps a call's Pascal rows and rounds alive until the cyclic
+    # collector runs, which shows up as peak RSS in a sweep of calls
     gc.disable()
     try:
         gc.collect()
