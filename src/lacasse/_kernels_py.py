@@ -84,11 +84,10 @@ def comp_power_sum(first: int, last: int, d: int) -> list:
     s_e(n) = sum_k C(n, k) k^k s_(e-1)(n - k) from s_1(m) = m^m.  One sweep
     over n = 0..last carries a single Pascal row, advanced by addition,
     and for each n runs the d - 1 rounds on the shared weights
-    C(n, k) k^k; the last round, which no other round reads, runs only on
-    first..last.  Each sub-sum s_e(m) is thus built once and reused by
+    C(n, k) k^k; only the last round, which no other reads, is restricted
+    to first..last.  Each sub-sum s_e(m) is thus built once and reused by
     every n above m: about d * last^2 / 2 products for the whole window,
-    with no division and no table of binomials.  Round 2 is alpha and
-    round 3 is beta.
+    with no division and no table of binomials.
     """
     if first < 0 or last < first:
         raise ValueError(f"invalid window [{first}, {last}]; need 0 <= first <= last")
@@ -97,14 +96,17 @@ def comp_power_sum(first: int, last: int, d: int) -> list:
     powt = [k**k for k in range(last + 1)]
     if d == 1:
         return [powt[first:]]
-    rounds = [powt, *([] for _ in range(d - 1))]  # s_2 .. s_d fill in as n runs, s_d from first
+    mids = [[] for _ in range(d - 2)]  # s_2 .. s_(d-1) at 0..n
+    out = []
     row = [1]
     for n in range(last + 1):
         if n:
             row = [1, *map(add, row, row[1:]), 1]
         w = list(map(mul, row, powt))  # C(n, k) k^k for k = 0..n
         prev = powt
-        for s in rounds[1:] if n >= first else rounds[1:-1]:
+        for s in mids:
             s.append(sum(map(mul, w, reversed(prev[: n + 1]))))
             prev = s
-    return [*(s[first:] for s in rounds[:-1]), rounds[-1]]
+        if n >= first:
+            out.append(sum(map(mul, w, reversed(prev[: n + 1]))))
+    return [powt[first:], *(s[first:] for s in mids), out]
