@@ -15,11 +15,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import statistics
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from . import backend, identity
@@ -36,17 +35,12 @@ VALUE_QUANTITIES = ("alpha", "beta", "s_d", "q", "xi", "xi2", "diff")
 CSV_HEADER = "n,quantity,d,value,passed"
 
 
-@dataclass
-class Record:
+class Record(
+    namedtuple("Record", "n quantity d value passed routes extra", defaults=(None, None, None))
+):
     """One output row; renders identically-valued fields in every format."""
 
-    n: int
-    quantity: str
-    d: int | None
-    value: str
-    passed: bool | None = None
-    routes: tuple[str, ...] | None = None
-    extra: dict[str, str] = field(default_factory=dict)
+    __slots__ = ()
 
     def to_json(self) -> str:
         obj = {
@@ -57,7 +51,7 @@ class Record:
             "passed": self.passed,
             "routes": list(self.routes) if self.routes is not None else None,
         }
-        obj.update(self.extra)
+        obj.update(self.extra or {})
         return json.dumps(obj)
 
     def to_csv_row(self) -> list[str]:
@@ -152,6 +146,8 @@ def cmd_verify(args) -> int:
 
 def cmd_series(args) -> int:
     order = args.order
+    if args.which == "geom" and args.d < 1:  # before the tree, which is O(order^3)
+        raise DomainError(f"geom_power requires d >= 1, got {args.d}")
     tree = series_mod.tree_series(order)
     if args.which == "tree":
         label, d, s = "tree", None, tree
@@ -173,6 +169,8 @@ def cmd_series(args) -> int:
 
 
 def _median_time(fn, repetitions: int) -> tuple[float, object]:
+    import statistics  # only bench times anything
+
     times = []
     result = None
     for _ in range(repetitions):

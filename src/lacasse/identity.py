@@ -17,8 +17,7 @@ xi2(n) = xi(n) + n after dividing by n^n.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial
 
@@ -79,17 +78,12 @@ class IdentityFailureError(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(
+    namedtuple("VerificationReport", "n alpha beta difference expected routes_compared passed")
+):
     """Per-n outcome of the identity check across the compared routes."""
 
-    n: int
-    alpha: int
-    beta: int
-    difference: int
-    expected: int
-    routes_compared: tuple[str, ...]
-    passed: bool
+    __slots__ = ()
 
 
 def alpha_closed(n: int) -> int:
@@ -287,7 +281,9 @@ def verify_range(
     sweep over the admitted prefix of the range (admission only ever drops
     n from the top).  The remaining per-n work fans out over up to ``jobs``
     processes, never more than there are values of n or CPUs (results are
-    identical regardless of jobs).
+    identical regardless of jobs).  The process pool is imported only when
+    more than one worker runs, so a one-worker run never loads
+    ``multiprocessing``.
     """
     if first < 1 or last < first:
         raise DomainError(f"invalid range [{first}, {last}]; need 1 <= from <= to")
@@ -315,6 +311,8 @@ def verify_range(
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers == 1:
         return [_verify_task(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(tasks) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_verify_task, tasks, chunksize=chunk))

@@ -483,6 +483,18 @@ def test_series_bad_arguments(capsys):
     capsys.readouterr()
 
 
+def test_series_bad_d_rejected_before_the_tree(monkeypatch, capsys):
+    # at order 700 the tree alone takes seconds; a bad d must not wait for it
+    def boom(order):
+        raise AssertionError("the tree was built")
+
+    monkeypatch.setattr(backend.kernels, "tree_egf", boom)
+    code, out, err = main_out(capsys, "series", "geom", "--order", "700", "--d", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: geom_power requires d >= 1, got 0\n"
+
+
 # --- bench ------------------------------------------------------------------
 
 
@@ -581,6 +593,37 @@ def test_subprocess_verify_jobs_independence():
     assert base.returncode == 0 and twin.returncode == 0
     assert base.stdout == twin.stdout
     assert base.stderr == twin.stderr
+
+
+IMPORT_SET_CODE = """
+import json, os, sys
+sys.path.insert(0, sys.argv[1])
+import lacasse, lacasse.cli
+from lacasse import cli
+heavy = ("concurrent.futures", "multiprocessing", "dataclasses")
+codes = [cli.main(["verify", "--from", "1", "--to", "5"]), cli.main(["value", "alpha", "50"])]
+loaded = [m for m in heavy if m in sys.modules]
+codes.append(cli.main(["verify", "--from", "1", "--to", "5", "--jobs", "2"]))
+print(json.dumps([codes, loaded, "concurrent.futures" in sys.modules, os.cpu_count()]))
+"""
+
+
+def test_subprocess_loads_the_pool_only_for_jobs():
+    # a count of loaded modules, not a timing: one-worker commands never
+    # import the process pool, and --jobs 2 still starts a real one
+    src = str(Path(lacasse.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", IMPORT_SET_CODE, src],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded, pool_loaded, cpus = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0]
+    assert loaded == []
+    if (cpus or 1) > 1:
+        assert pool_loaded
 
 
 def test_subprocess_verify_plain_jobs_independence():

@@ -1,3 +1,4 @@
+import concurrent.futures
 from fractions import Fraction
 from math import comb
 
@@ -388,7 +389,8 @@ def test_verify_range_clamps_jobs(monkeypatch):
         def map(self, fn, iterable, chunksize=1):
             return map(fn, iterable)
 
-    monkeypatch.setattr(identity, "ProcessPoolExecutor", RecordingPool)
+    # verify_range imports the pool class at call time, from here
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(identity.os, "cpu_count", lambda: 4)
     want = verify_range(1, 6, routes=("closed",))
     assert pools == []
