@@ -146,7 +146,7 @@ def cmd_verify(args) -> int:
 
 def cmd_series(args) -> int:
     order = args.order
-    if args.which == "geom" and args.d < 1:  # before the tree, which is O(order^3)
+    if args.which == "geom" and args.d < 1:  # before the tree, seconds at large order
         raise DomainError(f"geom_power requires d >= 1, got {args.d}")
     tree = series_mod.tree_series(order)
     if args.which == "tree":

@@ -598,7 +598,6 @@ def test_subprocess_verify_jobs_independence():
 IMPORT_SET_CODE = """
 import json, os, sys
 sys.path.insert(0, sys.argv[1])
-import lacasse, lacasse.cli
 from lacasse import cli
 heavy = ("concurrent.futures", "multiprocessing", "dataclasses")
 codes = [cli.main(["verify", "--from", "1", "--to", "5"]), cli.main(["value", "alpha", "50"])]
