@@ -20,6 +20,7 @@ import time
 import traceback
 from collections import namedtuple
 from fractions import Fraction
+from functools import cache
 
 from . import backend, identity
 from . import series as series_mod
@@ -243,6 +244,7 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@cache  # built on the first main call, then reused: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lacasse",

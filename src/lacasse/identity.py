@@ -19,6 +19,7 @@ from __future__ import annotations
 import os
 from collections import namedtuple
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial
 
 from . import backend
@@ -102,10 +103,8 @@ def s_d_closed(n: int, d: int) -> int:
     The weight C(n-j+d-2, d-2) on the j-th term is the coefficient of
     y^(n-j) in 1/(1-y)^(d-1): d=2 and d=3 give the alpha and beta
     closed forms (weights 1 and n+1-j), and d=1 degenerates to n^n
-    (empty geometric factor, weight [j == n]).  The sum is one Horner
-    pass in n: as j runs from n down to 0, each step multiplies the total
-    by n and adds the weighted falling factorial n!/j!, so no power of n
-    is tabulated and nothing is divided.
+    (empty geometric factor, weight [j == n]).  The weights are d - 2
+    prefix sums of ones; the sum is ``_falling_sum``'s binary splitting.
     """
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
@@ -113,12 +112,36 @@ def s_d_closed(n: int, d: int) -> int:
         raise DomainError(f"d must be >= 1, got {d}")
     if d == 1:
         return n**n
-    total = 0
-    ff = 1  # n!/j! while j runs n down to 0
-    for j in range(n, -1, -1):
-        total = total * n + ff * comb(n - j + d - 2, d - 2)
-        ff *= j
-    return total
+    weights = [1] * (n + 1)  # C(k+d-2, d-2) at k = n-j, by the hockey-stick identity
+    for _ in range(d - 2):
+        weights = list(accumulate(weights))
+    return _falling_sum(n, weights[::-1])
+
+
+_BLOCK = 64  # terms per Horner block; smaller blocks cost more to combine
+
+
+def _falling_sum(n: int, weights: list[int]) -> int:
+    """sum_{j=0..top} (top!/j!) weights[j] n^j, top = len(weights) - 1.
+
+    Horner's step (t, f) -> (t*n + f*weights[j], f*j), from (0, 1) as j falls
+    from top to 0, is affine: the j in [a, b) give (t*n^(b-a) + f*T, f*F),
+    and split at m, T = T_hi*n^(m-a) + F_hi*T_lo and F = F_lo*F_hi.  So the
+    range is halved down to Horner blocks: balanced products, no division.
+    """
+    def block(a: int, b: int) -> tuple[int, int]:
+        if b - a <= _BLOCK:
+            t, f = 0, 1
+            for j in range(b - 1, a - 1, -1):
+                t = t * n + f * weights[j]
+                f *= j
+            return t, f
+        m = (a + b) // 2
+        t_lo, f_lo = block(a, m)
+        t_hi, f_hi = block(m, b)
+        return t_hi * n ** (m - a) + f_hi * t_lo, f_lo * f_hi
+
+    return block(0, len(weights))[0]
 
 
 def xi(n: int) -> Fraction:
@@ -182,18 +205,12 @@ def ramanujan_q(n: int) -> Fraction:
     """Q(n) = sum_{k=1..n} n! / ((n-k)! n^k) as an exact rational.
 
     Over the common denominator n^(n-1) the k-th term has numerator
-    (n-1)(n-2)...(n-k+1) n^(n-k), so the numerator is one Horner pass in
-    n over the falling products, and a single Fraction is built at the
-    end.  Satisfies alpha(n) = n^n (1 + Q(n)).
+    ((n-1)!/j!) n^j with j = n-k, so the numerator is ``_falling_sum`` with
+    unit weights, and one Fraction is built.  alpha(n) = n^n (1 + Q(n)).
     """
     if n < 1:
         raise DomainError(f"ramanujan_q({n}) is undefined; n >= 1 required")
-    num = 1  # falling product (n-1)(n-2)...(n-k+1)
-    total = 0
-    for k in range(1, n + 1):
-        total = total * n + num
-        num *= n - k
-    return Fraction(total, n ** (n - 1))
+    return Fraction(_falling_sum(n, [1] * n), n ** (n - 1))
 
 
 def brute_force_admitted(n: int, d: int, cutoff: int = DEFAULT_BRUTE_CUTOFF) -> bool:

@@ -15,9 +15,10 @@ Deliberately naive and independent of the integer kernels they certify:
   sub-sum across every n and every round of a window;
 * ``alpha_direct`` is the definitional two-part sum for one n, with fresh
   ``math.comb`` and powers in every term, against round 2 of that sweep;
-* ``alpha_formula`` and ``beta_formula`` are the README's closed sums with
-  each n!/k! a factorial division, apart from ``s_d_closed``'s
-  Horner loop over falling factorials.
+* ``alpha_formula``, ``beta_formula`` and ``s_d_formula`` are the README's
+  closed sums, and ``q_formula`` the defining sum of Q, with each n!/k! a
+  factorial division and every term built on its own, apart from the
+  binary splitting behind ``s_d_closed`` and ``ramanujan_q``.
 """
 
 from __future__ import annotations
@@ -243,3 +244,22 @@ def alpha_formula(n: int) -> int:
 def beta_formula(n: int) -> int:
     """sum_{k=0..n} (n!/k!) (n+1-k) n^k, each n!/k! by factorial division."""
     return sum(factorial(n) // factorial(k) * (n + 1 - k) * n**k for k in range(n + 1))
+
+
+def s_d_formula(n: int, d: int) -> int:
+    """sum_{j=0..n} (n!/j!) C(n-j+d-2, d-2) n^j, each n!/j! by factorial division.
+
+    At d = 1 the weight is [j == n], so the sum is n^n.
+    """
+    if d == 1:
+        return n**n
+    return sum(
+        factorial(n) // factorial(j) * comb(n - j + d - 2, d - 2) * n**j for j in range(n + 1)
+    )
+
+
+def q_formula(n: int) -> Fraction:
+    """Ramanujan's Q(n) = sum_{k=1..n} n! / ((n-k)! n^k), one Fraction per term."""
+    return sum(
+        (Fraction(factorial(n), factorial(n - k) * n**k) for k in range(1, n + 1)), Fraction(0)
+    )

@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -6,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -89,6 +92,57 @@ def test_value_strings_round_trip(capsys):
     code, out, _ = main_out(capsys, "value", "q", "7", "--format", "json")
     assert code == 0
     assert Fraction(json.loads(out)["value"]) == ramanujan_q(7)
+
+
+# --- one parser per process ---------------------------------------------------
+
+
+def redirected_main(*args: str) -> tuple[int, str, str]:
+    # fresh streams per call: the reused parser must write to whichever
+    # sys.stdout and sys.stderr are current, not the ones it was built under
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(args))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture
+def fresh_parser():
+    cli.build_parser.cache_clear()
+    yield
+    cli.build_parser.cache_clear()
+
+
+def test_reused_parser_restores_defaults(fresh_parser):
+    assert redirected_main("value", "s_d", "5", "--d", "4") == (0, "54020\n", "")
+    assert redirected_main("value", "s_d", "5") == (0, "10970\n", "")  # default d = 2
+
+
+def test_reused_parser_recovers_from_usage_error(fresh_parser):
+    code, out, err = redirected_main("value", "nope", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: lacasse value") and "invalid choice: 'nope'" in err
+    assert redirected_main("value", "alpha", "2") == (0, "10\n", "")
+
+
+def test_reused_parser_restores_default_format(fresh_parser):
+    code, out, _ = redirected_main("value", "alpha", "3", "--format", "json")
+    assert code == 0 and json.loads(out)["value"] == "78"
+    assert redirected_main("value", "alpha", "3") == (0, "78\n", "")
+
+
+def test_parser_built_once_for_many_calls(monkeypatch, fresh_parser):
+    built = []
+
+    def counting_parser(*args, **kwargs):
+        built.append(kwargs["prog"])
+        return argparse.ArgumentParser(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "argparse", types.SimpleNamespace(ArgumentParser=counting_parser))
+    calls = [("value", "alpha", "2"), ("value", "q", "2"), ("verify", "--from", "1", "--to", "2")]
+    for args in calls:
+        assert redirected_main(*args)[0] == 0
+    assert built == ["lacasse"]
 
 
 def test_value_format_equivalence(capsys):

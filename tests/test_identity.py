@@ -30,6 +30,8 @@ from oracles import (
     alpha_formula,
     beta_direct,
     beta_formula,
+    q_formula,
+    s_d_formula,
 )
 
 F = Fraction
@@ -103,6 +105,17 @@ def test_s_d_closed_specializes_to_alpha_and_beta():
     for n in [*range(41), 300, 1500]:
         assert alpha_closed(n) == alpha_formula(n)
         assert beta_closed(n) == beta_formula(n)
+
+
+# a single Horner block, one split, and several levels of splitting (the
+# blocks hold at most 64 terms, and s_d sums n + 1 of them, Q n)
+BLOCK_EDGES = [0, 1, 63, 64, 65, 127, 128, 129, 300, 700]
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+def test_s_d_closed_matches_formula_across_blocks(n):
+    for d in range(1, 7):
+        assert s_d_closed(n, d) == s_d_formula(n, d)
 
 
 def test_s_d_routes_agree_small_grid():
@@ -203,11 +216,16 @@ def test_ramanujan_q_examples():
 
 
 def test_ramanujan_q_alpha_link_midrange():
-    # Q and alpha_closed are both Horner sums, so alpha is also taken from
-    # the definitional binomial sum
+    # Q and alpha_closed are both falling sums by binary splitting, so
+    # alpha is also taken from the definitional binomial sum
     for n in range(1, 81):
         assert n**n * (1 + ramanujan_q(n)) == alpha_closed(n)
         assert n**n * (1 + ramanujan_q(n)) == alpha_direct(n)
+
+
+@pytest.mark.parametrize("n", [n for n in BLOCK_EDGES if n])
+def test_ramanujan_q_matches_formula_across_blocks(n):
+    assert ramanujan_q(n) == q_formula(n)
 
 
 def test_ramanujan_q_rejects_zero():
