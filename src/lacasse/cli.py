@@ -20,9 +20,9 @@ import time
 import traceback
 from collections import namedtuple
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 
-from . import backend, identity
+from . import identity
 from . import series as series_mod
 from .exact import DomainError, exact_str
 
@@ -187,30 +187,14 @@ def cmd_bench(args) -> int:
     if args.n_max < 1:
         raise DomainError(f"n-max must be >= 1, got {args.n_max}")
     n_max, d = args.n_max, args.d
-    admitted = [n for n in range(1, n_max + 1) if identity.brute_force_admitted(n, d)]
-
-    def run_closed():
-        return [identity.s_d_closed(n, d) for n in range(1, n_max + 1)]
-
-    def run_series():
-        t = series_mod.tree_series(n_max)
-        p = series_mod.geom_power(t, d)
-        return [series_mod.egf_coeff(p, n) for n in range(1, n_max + 1)]
-
-    def run_brute():
-        # admission only ever drops n from the top, so this is 1..admitted[-1];
-        # s_d is the sweep's last round
-        return backend.kernels.comp_power_sum(1, admitted[-1], d)[-1] if admitted else []
-
     rows = []
-    values = {}
-    for route, fn in (("closed", run_closed), ("series", run_series), ("brute", run_brute)):
-        median, result = _median_time(fn, args.repetitions)
+    tables = {}
+    for route in ("closed", "series", "brute"):
+        build = partial(identity.route_table, route, 1, n_max, (d,))
+        median, tables[route] = _median_time(build, args.repetitions)
         rows.append((route, median))
-        values[route] = result
-    agree = values["closed"] == values["series"] and all(
-        values["brute"][i] == values["closed"][n - 1] for i, n in enumerate(admitted)
-    )
+    closed = tables["closed"]
+    agree = all(row == closed[n] for table in tables.values() for n, row in table.items())
     verdict = f"values agree across routes: {'yes' if agree else 'NO'}"
 
     if args.format == "json":
@@ -239,7 +223,7 @@ def cmd_bench(args) -> int:
         for route, median in rows:
             print(f"  {route:<{width}}  {median:.6f}s")
         print(verdict)
-        if not admitted:
+        if not tables["brute"]:
             print("note: brute-force route admitted no n at this cutoff")
     return EXIT_OK
 

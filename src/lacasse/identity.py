@@ -19,6 +19,7 @@ from __future__ import annotations
 import os
 from collections import namedtuple
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 from math import comb, factorial
 
@@ -254,33 +255,32 @@ def verify_lacasse(
     return verify_range(n, n, routes, cutoff)[0]
 
 
-def _verify_task(args) -> VerificationReport:
-    # one n of verify_range; brute_values and series_values are the
-    # (alpha, beta) pairs read off the brute sweep and the series tables,
-    # each None when its route is off or dropped at this n
-    n, brute_values, series_values = args
-    alpha_by = {"closed": alpha_closed(n)}
-    beta_by = {"closed": beta_closed(n)}
-    for route, values in (("brute", brute_values), ("series", series_values)):
-        if values is not None:
-            alpha_by[route], beta_by[route] = values
-    _require_agreement(n, "alpha", alpha_by)
-    _require_agreement(n, "beta", beta_by)
-    alpha = alpha_by["closed"]
-    beta = beta_by["closed"]
-    difference = beta - alpha
-    expected = n ** (n + 1)
-    if difference != expected:
-        raise IdentityFailureError(n, difference, expected)
-    return VerificationReport(
-        n=n,
-        alpha=alpha,
-        beta=beta,
-        difference=difference,
-        expected=expected,
-        routes_compared=tuple(alpha_by),
-        passed=True,
-    )
+def route_table(
+    route: str, first: int, last: int, ds, cutoff: int = DEFAULT_BRUTE_CUTOFF
+) -> dict[int, list[int]]:
+    """{n: [s_d(n) for d in ds]} for each n in [first, last] that ``route`` admits.
+
+    ``closed`` evaluates ``s_d_closed`` per n and ``series`` reads one
+    ``geom_power`` per d off one ``tree_series(last)``; both admit every n.
+    ``brute`` reads rounds ``ds`` off one ``comp_power_sum`` sweep at
+    ``max(ds)`` over the n whose enumeration stays within ``cutoff``
+    (admission only ever drops n from the top, so they are a prefix).
+    """
+    window = range(first, last + 1)
+    if route == "closed":
+        return {n: [s_d_closed(n, d) for d in ds] for n in window}
+    if route == "series":
+        t = _series.tree_series(last)
+        powers = [_series.geom_power(t, d) for d in ds]
+        return {n: [_series.egf_coeff(p, n) for p in powers] for n in window}
+    if route != "brute":
+        raise DomainError(f"unknown route {route!r}; valid routes are {ALL_ROUTES}")
+    top = max(ds)
+    admitted = [n for n in window if brute_force_admitted(n, top, cutoff)]
+    if not admitted:
+        return {}
+    rounds = backend.kernels.comp_power_sum(first, admitted[-1], top)
+    return {n: [rounds[d - 1][i] for d in ds] for i, n in enumerate(admitted)}
 
 
 def verify_range(
@@ -292,15 +292,14 @@ def verify_range(
 ) -> list[VerificationReport]:
     """verify_lacasse for every n in [first, last], reports ordered by n.
 
-    Two routes run once for the whole range, in this process, before the
-    per-n fan-out: the series tables are built at order ``last``, and the
-    brute-force alpha and beta are rounds 2 and 3 of one ``comp_power_sum``
-    sweep over the admitted prefix of the range (admission only ever drops
-    n from the top).  The remaining per-n work fans out over up to ``jobs``
-    processes, never more than there are values of n or CPUs (results are
-    identical regardless of jobs).  The process pool is imported only when
-    more than one worker runs, so a one-worker run never loads
-    ``multiprocessing``.
+    Each requested route builds its alpha and beta (s_2 and s_3) for the
+    whole range as one ``route_table``.  The tables are built side by side
+    in up to ``jobs`` processes, never more than there are routes or CPUs;
+    every n is then checked here, in order: alpha across the routes that
+    admit it, beta likewise, then beta - alpha = n^(n+1).  So the reports,
+    and the first failure raised, are the same for every ``jobs``.  The
+    process pool is imported only when more than one worker runs, so a
+    one-worker run never loads ``multiprocessing``.
     """
     if first < 1 or last < first:
         raise DomainError(f"invalid range [{first}, {last}]; need 1 <= from <= to")
@@ -309,27 +308,34 @@ def verify_range(
     if cutoff < 0:
         raise DomainError(f"cutoff must be >= 0, got {cutoff}")
     requested = _normalize_routes(routes)
-    series_values: dict[int, tuple[int, int]] = {}
-    if "series" in requested:
-        t = _series.tree_series(last)
-        s2 = _series.geom_power(t, 2)
-        s3 = _series.geom_power(t, 3)
-        for n in range(first, last + 1):
-            series_values[n] = (_series.egf_coeff(s2, n), _series.egf_coeff(s3, n))
-    brute_values: dict[int, tuple[int, int]] = {}
-    if "brute" in requested:
-        admitted = [n for n in range(first, last + 1) if brute_force_admitted(n, 3, cutoff)]
-        if admitted:
-            _, s2, s3 = backend.kernels.comp_power_sum(first, admitted[-1], 3)
-            brute_values = dict(zip(admitted, zip(s2, s3)))
-    tasks = [
-        (n, brute_values.get(n), series_values.get(n)) for n in range(first, last + 1)
-    ]
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    build = partial(route_table, first=first, last=last, ds=(2, 3), cutoff=cutoff)
+    workers = min(jobs, len(requested), os.cpu_count() or 1)
     if workers == 1:
-        return [_verify_task(t) for t in tasks]
-    from concurrent.futures import ProcessPoolExecutor
+        tables = list(map(build, requested))
+    else:
+        from concurrent.futures import ProcessPoolExecutor
 
-    chunk = max(1, len(tasks) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_verify_task, tasks, chunksize=chunk))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            tables = list(pool.map(build, requested))
+    reports = []
+    for n in range(first, last + 1):
+        rows = {route: table[n] for route, table in zip(requested, tables) if n in table}
+        _require_agreement(n, "alpha", {route: row[0] for route, row in rows.items()})
+        _require_agreement(n, "beta", {route: row[1] for route, row in rows.items()})
+        alpha, beta = rows["closed"]
+        difference = beta - alpha
+        expected = n ** (n + 1)
+        if difference != expected:
+            raise IdentityFailureError(n, difference, expected)
+        reports.append(
+            VerificationReport(
+                n=n,
+                alpha=alpha,
+                beta=beta,
+                difference=difference,
+                expected=expected,
+                routes_compared=tuple(rows),
+                passed=True,
+            )
+        )
+    return reports

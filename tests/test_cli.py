@@ -21,10 +21,13 @@ from lacasse.identity import VerificationReport, alpha_closed, beta_closed, rama
 from lacasse.series import ConsistencyError
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
+def run_cli(*args: str, site: Path | None = None) -> subprocess.CompletedProcess:
+    # site: a directory put first on the child's path, as for a sitecustomize.py
     env = os.environ.copy()
     src = str(Path(lacasse.__file__).resolve().parents[1])
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    if site is not None:
+        env["PYTHONPATH"] = str(site) + os.pathsep + env["PYTHONPATH"]
     return subprocess.run(
         [sys.executable, "-m", "lacasse", *args],
         capture_output=True,
@@ -430,7 +433,9 @@ def test_diff_fault_is_consistency_failure(monkeypatch, capsys, n, broken):
 
 
 def test_identity_fault_past_digit_limit(monkeypatch, capsys):
-    monkeypatch.setattr(identity, "beta_closed", identity.alpha_closed)
+    # the closed beta reads back as the closed alpha
+    real = identity.s_d_closed
+    monkeypatch.setattr(identity, "s_d_closed", lambda n, d: real(n, 2 if d == 3 else d))
     code, out, err = main_out(
         capsys, "verify", "--from", "2000", "--to", "2000", "--routes", "closed"
     )
@@ -600,6 +605,19 @@ def test_bench_d1_routes_agree(capsys):
     assert "values agree across routes: yes" in out
 
 
+def test_bench_reports_disagreement(monkeypatch, capsys):
+    # the sweep's last round is the brute s_d; a disagreement is reported,
+    # never asserted
+    monkeypatch.setattr(backend.kernels, "comp_power_sum", _sweep_off_by_one_at(3, -1))
+    args = ("bench", "--n-max", "6", "--d", "3", "--repetitions", "1")
+    code, out, _ = main_out(capsys, *args)
+    assert code == 0
+    assert "values agree across routes: NO" in out
+    code, out, _ = main_out(capsys, *args, "--format", "json")
+    assert code == 0
+    assert json.loads(out.splitlines()[-1]) == {"values_agree": False}
+
+
 def test_bench_zero_repetitions_rejected(capsys):
     code, _, err = main_out(capsys, "bench", "--repetitions", "0")
     assert code == 2
@@ -654,7 +672,11 @@ import json, os, sys
 sys.path.insert(0, sys.argv[1])
 from lacasse import cli
 heavy = ("concurrent.futures", "multiprocessing", "dataclasses")
-codes = [cli.main(["verify", "--from", "1", "--to", "5"]), cli.main(["value", "alpha", "50"])]
+codes = [
+    cli.main(["verify", "--from", "1", "--to", "5"]),
+    cli.main(["value", "alpha", "50"]),
+    cli.main(["verify", "--from", "1", "--to", "5", "--routes", "closed", "--jobs", "2"]),
+]
 loaded = [m for m in heavy if m in sys.modules]
 codes.append(cli.main(["verify", "--from", "1", "--to", "5", "--jobs", "2"]))
 print(json.dumps([codes, loaded, "concurrent.futures" in sys.modules, os.cpu_count()]))
@@ -662,8 +684,9 @@ print(json.dumps([codes, loaded, "concurrent.futures" in sys.modules, os.cpu_cou
 
 
 def test_subprocess_loads_the_pool_only_for_jobs():
-    # a count of loaded modules, not a timing: one-worker commands never
-    # import the process pool, and --jobs 2 still starts a real one
+    # a count of loaded modules, not a timing: one-worker commands, and
+    # --jobs 2 with one route table to build, never import the process
+    # pool, and --jobs 2 over all routes still starts a real one
     src = str(Path(lacasse.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-S", "-c", IMPORT_SET_CODE, src],
@@ -673,7 +696,7 @@ def test_subprocess_loads_the_pool_only_for_jobs():
     )
     assert proc.returncode == 0, proc.stderr
     codes, loaded, pool_loaded, cpus = json.loads(proc.stdout.splitlines()[-1])
-    assert codes == [0, 0, 0]
+    assert codes == [0, 0, 0, 0]
     assert loaded == []
     if (cpus or 1) > 1:
         assert pool_loaded
@@ -683,3 +706,53 @@ def test_subprocess_verify_plain_jobs_independence():
     base = run_cli("verify", "--from", "1", "--to", "8")
     twin = run_cli("verify", "--from", "1", "--to", "8", "--jobs", "2")
     assert base.stdout == twin.stdout
+
+
+# sitecustomize.py runs at every interpreter start, so a fault set there
+# reaches each pool worker under any start method
+SWEEP_FAULT = """
+from lacasse.backend import kernels
+
+real = kernels.comp_power_sum
+
+def broken(first, last, d):
+    rounds = real(first, last, d)
+    rounds[1][4 - first] += 1
+    return rounds
+
+kernels.comp_power_sum = broken
+"""
+
+TREE_FAULT = """
+from lacasse.backend import kernels
+
+real = kernels.tree_egf
+
+def broken(order):
+    y = real(order)
+    y[3] += 1
+    return y
+
+kernels.tree_egf = broken
+"""
+
+
+@pytest.mark.parametrize(
+    "fault, line",
+    [
+        (SWEEP_FAULT, "verification failure: routes 'closed' and 'brute' disagree on alpha(4)"),
+        (TREE_FAULT, "verification failure: tree series constructions disagree at z^3"),
+    ],
+    ids=["brute-round", "tree"],
+)
+def test_subprocess_fault_crosses_the_pool(tmp_path, fault, line):
+    (tmp_path / "sitecustomize.py").write_text(fault)
+    runs = [
+        run_cli("verify", "--from", "1", "--to", "8", "--jobs", jobs, site=tmp_path)
+        for jobs in ("1", "2")
+    ]
+    for run in runs:
+        assert run.returncode == 1, run.stderr
+        assert run.stdout == ""
+        assert run.stderr.startswith(line)
+    assert runs[0].stderr == runs[1].stderr

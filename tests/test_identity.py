@@ -335,7 +335,9 @@ def test_verify_detects_route_disagreement(monkeypatch):
 
 
 def test_verify_detects_identity_failure(monkeypatch):
-    monkeypatch.setattr(identity, "beta_closed", lambda n: alpha_closed(n))
+    # the closed beta reads back as the closed alpha
+    real = identity.s_d_closed
+    monkeypatch.setattr(identity, "s_d_closed", lambda n, d: real(n, 2 if d == 3 else d))
     with pytest.raises(IdentityFailureError):
         verify_lacasse(4, routes=("closed",))
 
@@ -404,19 +406,21 @@ def test_verify_range_clamps_jobs(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     # verify_range imports the pool class at call time, from here
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(identity.os, "cpu_count", lambda: 4)
-    want = verify_range(1, 6, routes=("closed",))
+    want = verify_range(1, 6)
     assert pools == []
-    assert verify_range(1, 6, routes=("closed",), jobs=5000) == want
-    assert pools == [4]  # one worker per CPU
-    assert verify_range(1, 2, routes=("closed",), jobs=5000) == want[:2]
-    assert pools == [4, 2]  # one worker per value of n
-    assert verify_range(3, 3, routes=("closed",), jobs=5000) == want[2:3]
+    assert verify_range(1, 6, jobs=5000) == want
+    assert pools == [3]  # one worker per route
+    monkeypatch.setattr(identity.os, "cpu_count", lambda: 2)
+    assert verify_range(1, 6, jobs=5000) == want
+    assert pools == [3, 2]  # one worker per CPU
+    closed = verify_range(1, 6, routes=("closed",))
+    assert verify_range(1, 6, routes=("closed",), jobs=5000) == closed
     monkeypatch.setattr(identity.os, "cpu_count", lambda: None)
-    assert verify_range(1, 6, routes=("closed",), jobs=5000) == want
-    assert pools == [4, 2]  # a single worker runs inline, without a pool
+    assert verify_range(1, 6, jobs=5000) == want
+    assert pools == [3, 2]  # a single worker runs inline, without a pool
