@@ -6,45 +6,10 @@ tree-function series.  All arithmetic is exact (arbitrary-precision
 integers and rationals).
 """
 
-from .exact import DomainError
-from .identity import (
-    ALL_ROUTES,
-    DEFAULT_BRUTE_CUTOFF,
-    IdentityFailureError,
-    RouteDisagreementError,
-    VerificationReport,
-    alpha_closed,
-    beta_closed,
-    ramanujan_q,
-    s_d_closed,
-    telescoping_difference,
-    verify_lacasse,
-    verify_range,
-    xi,
-    xi2,
-)
-from .series import ConsistencyError, egf_coeff, geom_power, tree_series
+from .exact import *
+from .identity import *
+from .series import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALL_ROUTES",
-    "DEFAULT_BRUTE_CUTOFF",
-    "ConsistencyError",
-    "DomainError",
-    "IdentityFailureError",
-    "RouteDisagreementError",
-    "VerificationReport",
-    "alpha_closed",
-    "beta_closed",
-    "egf_coeff",
-    "geom_power",
-    "ramanujan_q",
-    "s_d_closed",
-    "telescoping_difference",
-    "tree_series",
-    "verify_lacasse",
-    "verify_range",
-    "xi",
-    "xi2",
-]
+__all__ = [*exact.__all__, *identity.__all__, *series.__all__]

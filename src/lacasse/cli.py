@@ -65,8 +65,8 @@ class Record(
         ]
 
 
-def _emit(records: list[Record], fmt: str, plain_lines: list[str], out=None) -> None:
-    out = out if out is not None else sys.stdout
+def _emit(records: list[Record], fmt: str, plain_lines: list[str]) -> None:
+    out = sys.stdout
     if fmt == "plain":
         for line in plain_lines:
             out.write(line + "\n")
@@ -293,11 +293,7 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        identity.RouteDisagreementError,
-        identity.IdentityFailureError,
-        series_mod.ConsistencyError,
-    ) as exc:
+    except series_mod.ConsistencyError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
 

@@ -36,7 +36,6 @@ __all__ = [
     "VerificationReport",
     "alpha_closed",
     "beta_closed",
-    "brute_force_admitted",
     "ramanujan_q",
     "s_d_closed",
     "telescoping_difference",
@@ -53,30 +52,37 @@ ALL_ROUTES = ("closed", "brute", "series")
 DEFAULT_BRUTE_CUTOFF = 2_000_000
 
 
-class RouteDisagreementError(RuntimeError):
+class RouteDisagreementError(ConsistencyError):
     """Two computation routes returned different values for the same quantity."""
 
     def __init__(self, n: int, quantity: str, routes: tuple[str, str], values: tuple[int, int]):
+        super().__init__(n, quantity, routes, values)  # args rebuild it when unpickled
         self.n = n
         self.quantity = quantity
         self.routes = routes
         self.values = values
-        super().__init__(
-            f"routes {routes[0]!r} and {routes[1]!r} disagree on {quantity}({n}): "
-            f"{exact_str(values[0])} vs {exact_str(values[1])}"
+
+    def __str__(self) -> str:
+        return (
+            f"routes {self.routes[0]!r} and {self.routes[1]!r} disagree on "
+            f"{self.quantity}({self.n}): "
+            f"{exact_str(self.values[0])} vs {exact_str(self.values[1])}"
         )
 
 
-class IdentityFailureError(RuntimeError):
+class IdentityFailureError(ConsistencyError):
     """beta(n) - alpha(n) missed n^(n+1); an implementation bug, never the math."""
 
     def __init__(self, n: int, difference: int, expected: int):
+        super().__init__(n, difference, expected)  # args rebuild it when unpickled
         self.n = n
         self.difference = difference
         self.expected = expected
-        super().__init__(
-            f"beta({n}) - alpha({n}) = {exact_str(difference)} "
-            f"!= n^(n+1) = {exact_str(expected)}"
+
+    def __str__(self) -> str:
+        return (
+            f"beta({self.n}) - alpha({self.n}) = {exact_str(self.difference)} "
+            f"!= n^(n+1) = {exact_str(self.expected)}"
         )
 
 
@@ -162,37 +168,26 @@ def xi2(n: int) -> Fraction:
 def telescoping_difference(n: int) -> int:
     """Evaluate sum_k (n!/k!) (n-k) n^k and certify its telescoping collapse.
 
-    One pass carries u = (n!/k!) n^k, from u = n! at k = 0 by the exact
-    step u <- u*n // k.  The k-th term u*(n-k) splits into
-    upper = u*n = (n!/k!) n^(k+1) minus lower = u*k = (n!/(k-1)!) n^k,
-    and lower == the previous upper cancels everything except the last
-    upper, n^(n+1).  The split and the cancellation are checked as each
-    term arrives, and the sum against n^(n+1) at the end; any mismatch
-    raises ConsistencyError.
+    With u = (n!/k!) n^k, the k-th term u*(n-k) is upper = u*n minus
+    lower = u*k, and each lower equals the previous upper, so everything
+    cancels except the last upper, n^(n+1).  One pass carries the upper
+    term and gets the next u as upper // k: a nonzero remainder is a
+    lower that missed the previous upper, and the sum is checked against
+    n^(n+1) at the end; either mismatch raises ConsistencyError.
     """
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
-    total = 0
-    prev_up = 0  # the k = 0 lower term has factor k = 0
     u = factorial(n)
-    for k in range(n + 1):
-        if k:
-            u = u * n // k
-        term = u * (n - k)
+    total = u * n  # the k = 0 term; its lower term has factor k = 0
+    for k in range(1, n + 1):
         up = u * n
-        low = u * k
-        if term != up - low:
-            raise ConsistencyError(
-                f"telescoping split broke at n={n}, k={k}: "
-                f"{exact_str(term)} != {exact_str(up)} - {exact_str(low)}"
-            )
-        if low != prev_up:
+        u, rest = divmod(up, k)
+        if rest:
             raise ConsistencyError(
                 f"telescoping cancellation broke at n={n}, k={k}: "
-                f"{exact_str(low)} != {exact_str(prev_up)}"
+                f"{exact_str(u * k)} != {exact_str(up)}"
             )
-        total += term
-        prev_up = up
+        total += u * (n - k)
     expected = n ** (n + 1)
     if total != expected:
         raise ConsistencyError(

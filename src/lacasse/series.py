@@ -25,8 +25,9 @@ __all__ = [
 class ConsistencyError(RuntimeError):
     """Two independent constructions of the same value disagreed.
 
-    This never fires on correct code; it signals an arithmetic bug, not a
-    property of the input.
+    The one verification failure: the CLI reports it, and its subclasses
+    in ``identity``, as exit 1.  This never fires on correct code; it
+    signals an arithmetic bug, not a property of the input.
     """
 
 

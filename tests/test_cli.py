@@ -296,6 +296,14 @@ def test_verify_unknown_route(capsys):
     assert "unknown routes" in err
 
 
+@pytest.mark.parametrize("routes", ["", ","])
+def test_verify_requires_a_route(capsys, routes):
+    code, out, err = main_out(capsys, "verify", "--from", "1", "--to", "2", "--routes", routes)
+    assert code == 2
+    assert out == ""
+    assert err == "error: at least one route is required\n"
+
+
 def test_verify_failure_exit_code(monkeypatch, capsys):
     fake = VerificationReport(
         n=7, alpha=1, beta=2, difference=1, expected=7**8,
@@ -425,6 +433,10 @@ def test_diff_fault_is_consistency_failure(monkeypatch, capsys, n, broken):
     assert code == 1
     assert out == ""
     assert err.startswith("verification failure:") and broken in err
+    if n == 3:  # u = 3! + 1 = 7, then 7 * 3 = 21 and 21 * 3 = 63, which 2 does not divide
+        assert err == (
+            "verification failure: telescoping cancellation broke at n=3, k=2: 62 != 63\n"
+        )
 
 
 # A failure message quotes the values that disagreed, in full: past the
@@ -616,6 +628,16 @@ def test_bench_reports_disagreement(monkeypatch, capsys):
     code, out, _ = main_out(capsys, *args, "--format", "json")
     assert code == 0
     assert json.loads(out.splitlines()[-1]) == {"values_agree": False}
+
+
+def test_bench_notes_brute_route_admitted_nothing(monkeypatch, capsys):
+    monkeypatch.setattr(identity, "brute_force_admitted", lambda *args: False)
+    code, out, _ = main_out(capsys, "bench", "--n-max", "3", "--repetitions", "1")
+    assert code == 0
+    assert out.splitlines()[-2:] == [
+        "values agree across routes: yes",
+        "note: brute-force route admitted no n at this cutoff",
+    ]
 
 
 def test_bench_zero_repetitions_rejected(capsys):

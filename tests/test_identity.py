@@ -1,4 +1,6 @@
 import concurrent.futures
+import multiprocessing
+import pickle
 from fractions import Fraction
 from math import comb
 
@@ -23,7 +25,7 @@ from lacasse.identity import (
     xi,
     xi2,
 )
-from lacasse.series import egf_coeff, geom_power, tree_series
+from lacasse.series import ConsistencyError, egf_coeff, geom_power, tree_series
 from oracles import (
     CompositionCursor,
     alpha_direct,
@@ -311,6 +313,11 @@ def test_brute_force_admitted_rejects_bad_input():
             brute_force_admitted(n, d)
 
 
+def test_route_table_rejects_unknown_route():
+    with pytest.raises(DomainError, match="unknown route 'psychic'"):
+        identity.route_table("psychic", 1, 3, (2,))
+
+
 def test_verify_closed_only_route():
     report = verify_lacasse(12, routes=("closed",))
     assert report.routes_compared == ("closed",)
@@ -361,6 +368,34 @@ def test_route_disagreement_message_past_digit_limit():
     # 10^5000 has 5001 digits, past the 4300-digit int-to-str limit
     exc = RouteDisagreementError(2000, "alpha", ("closed", "series"), (10**5000, 10**5000 + 1))
     assert str(exc).endswith(": 1" + "0" * 5000 + " vs 1" + "0" * 4999 + "1")
+
+
+def _failure_state(exc):
+    return type(exc), exc.args, vars(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "cls, args, attrs",
+    [
+        (RouteDisagreementError, (3, "alpha", ("closed", "brute"), (1, 2)),
+         ("n", "quantity", "routes", "values")),
+        (IdentityFailureError, (3, 1, 81), ("n", "difference", "expected")),
+        (IdentityFailureError, (2000, 10**5000, 10**5000 + 1), ("n", "difference", "expected")),
+    ],
+    ids=["route-disagreement", "identity-failure", "identity-failure-past-digit-limit"],
+)
+def test_failure_errors_cross_processes(cls, args, attrs):
+    # a library caller may run verify_lacasse in its own process pool,
+    # which pickles whatever the worker raises or returns
+    exc = cls(*args)
+    assert isinstance(exc, ConsistencyError)
+    assert exc.args == args
+    assert tuple(getattr(exc, name) for name in attrs) == args
+    assert _failure_state(pickle.loads(pickle.dumps(exc))) == _failure_state(exc)
+    spawn = multiprocessing.get_context("spawn")
+    with concurrent.futures.ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+        returned = pool.submit(cls, *args).result(timeout=60)
+    assert _failure_state(returned) == _failure_state(exc)
 
 
 def test_verify_range_ordering_and_contents():
