@@ -21,7 +21,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
-from math import comb, factorial
+from math import comb
 
 from . import backend
 from . import series as _series
@@ -128,25 +128,43 @@ def s_d_closed(n: int, d: int) -> int:
 _BLOCK = 64  # terms per Horner block; smaller blocks cost more to combine
 
 
-def _falling_sum(n: int, weights: list[int]) -> int:
+def _falling_sum(n: int, weights: list[int], certify: bool = False) -> int:
     """sum_{j=0..top} (top!/j!) weights[j] n^j, top = len(weights) - 1.
 
     Horner's step (t, f) -> (t*n + f*weights[j], f*j), from (0, 1) as j falls
     from top to 0, is affine: the j in [a, b) give (t*n^(b-a) + f*T, f*F),
     and split at m, T = T_hi*n^(m-a) + F_hi*T_lo and F = F_lo*F_hi.  So the
     range is halved down to Horner blocks: balanced products, no division.
+
+    ``certify`` is for the weights n - j of ``telescoping_difference``: each
+    step then maps t + f to (t + f)*n, so every block's (T, F) has
+    T + F == n^(b-a), checked after each Horner step and each combine.  A
+    miss raises ConsistencyError naming the step's k or the block.
     """
+    pw = [n**i for i in range(_BLOCK + 1)] if certify else None
+
     def block(a: int, b: int) -> tuple[int, int]:
         if b - a <= _BLOCK:
             t, f = 0, 1
             for j in range(b - 1, a - 1, -1):
                 t = t * n + f * weights[j]
                 f *= j
+                if certify and t + f != pw[b - j]:
+                    raise ConsistencyError(
+                        f"telescoping cancellation broke at n={n}, k={j}: "
+                        f"{exact_str(t + f)} != n^{b - j} = {exact_str(pw[b - j])}"
+                    )
             return t, f
         m = (a + b) // 2
         t_lo, f_lo = block(a, m)
         t_hi, f_hi = block(m, b)
-        return t_hi * n ** (m - a) + f_hi * t_lo, f_lo * f_hi
+        t, f = t_hi * n ** (m - a) + f_hi * t_lo, f_lo * f_hi
+        if certify and t + f != n ** (b - a):
+            raise ConsistencyError(
+                f"telescoping cancellation broke at n={n}, block [{a}, {b}): "
+                f"{exact_str(t + f)} != n^{b - a} = {exact_str(n ** (b - a))}"
+            )
+        return t, f
 
     return block(0, len(weights))[0]
 
@@ -168,26 +186,18 @@ def xi2(n: int) -> Fraction:
 def telescoping_difference(n: int) -> int:
     """Evaluate sum_k (n!/k!) (n-k) n^k and certify its telescoping collapse.
 
-    With u = (n!/k!) n^k, the k-th term u*(n-k) is upper = u*n minus
-    lower = u*k, and each lower equals the previous upper, so everything
-    cancels except the last upper, n^(n+1).  One pass carries the upper
-    term and gets the next u as upper // k: a nonzero remainder is a
-    lower that missed the previous upper, and the sum is checked against
-    n^(n+1) at the end; either mismatch raises ConsistencyError.
+    With u_k = (n!/k!) n^k, the k-th term u_k (n-k) is u_k n - u_(k+1) (k+1),
+    so the sum over any block of k telescopes to its two boundary terms.
+    It is ``_falling_sum`` with weights n - k, the binary splitting that
+    also sums alpha, beta and Q, run with ``certify``: every Horner step
+    and every block combine must keep T + F == n^(b-a), and the root block
+    [0, n+1) has F = 0, so its T must be n^(n+1).  The total is compared
+    with a separately computed n^(n+1) as well; any miss raises
+    ConsistencyError.
     """
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
-    u = factorial(n)
-    total = u * n  # the k = 0 term; its lower term has factor k = 0
-    for k in range(1, n + 1):
-        up = u * n
-        u, rest = divmod(up, k)
-        if rest:
-            raise ConsistencyError(
-                f"telescoping cancellation broke at n={n}, k={k}: "
-                f"{exact_str(u * k)} != {exact_str(up)}"
-            )
-        total += u * (n - k)
+    total = _falling_sum(n, [n - k for k in range(n + 1)], certify=True)
     expected = n ** (n + 1)
     if total != expected:
         raise ConsistencyError(

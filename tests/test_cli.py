@@ -4,7 +4,6 @@ import csv
 import functools
 import io
 import json
-import math
 import os
 import subprocess
 import sys
@@ -412,6 +411,14 @@ def test_verify_tree_fault_is_consistency_failure(monkeypatch, capsys):
     assert "verification failure: tree series constructions disagree at z^3" in err
 
 
+def _one_weight_off(weights):
+    weights[len(weights) // 2] += 1
+
+
+def _last_term_dropped(weights):
+    del weights[-1]
+
+
 @pytest.mark.parametrize(
     "n, broken",
     [
@@ -423,19 +430,29 @@ def test_verify_tree_fault_is_consistency_failure(monkeypatch, capsys):
     ],
 )
 def test_diff_fault_is_consistency_failure(monkeypatch, capsys, n, broken):
-    # n! + 1 seeds the carried term off by one; at n = 2 every exact step
-    # still divides, so only the final sum can catch it.  At n = 2000 the
-    # message quotes ints past the 4300-digit int-to-str limit.
-    monkeypatch.setattr(identity, "factorial", lambda m: math.factorial(m) + 1)
+    # The faults reach the splitting that alpha and beta share.  One weight
+    # n - k off by one breaks t + f == n^(b-k) at that Horner step.  A sum one
+    # term short still keeps every block's invariant, so only the root
+    # comparison with n^(n+1) can catch it.  At n = 2000 the message quotes
+    # ints past the 4300-digit int-to-str limit.
+    fault = {"cancellation": _one_weight_off, "telescoping sum": _last_term_dropped}[broken]
+    real = identity._falling_sum
+
+    def faulty(m, weights, certify=False):
+        weights = list(weights)
+        fault(weights)
+        return real(m, weights, certify)
+
+    monkeypatch.setattr(identity, "_falling_sum", faulty)
     with pytest.raises(ConsistencyError, match=broken):
         identity.telescoping_difference(n)
     code, out, err = main_out(capsys, "value", "diff", str(n))
     assert code == 1
     assert out == ""
     assert err.startswith("verification failure:") and broken in err
-    if n == 3:  # u = 3! + 1 = 7, then 7 * 3 = 21 and 21 * 3 = 63, which 2 does not divide
+    if n == 3:  # weights 3, 2, 2, 0: from j = 3, (t, f) = (0, 3), then (6, 6)
         assert err == (
-            "verification failure: telescoping cancellation broke at n=3, k=2: 62 != 63\n"
+            "verification failure: telescoping cancellation broke at n=3, k=2: 12 != n^2 = 9\n"
         )
 
 

@@ -305,6 +305,7 @@ def test_brute_force_admitted_boundary():
     terms = comb(n + 2, 2)
     assert brute_force_admitted(n, 3, cutoff=terms)
     assert not brute_force_admitted(n, 3, cutoff=terms - 1)
+    assert brute_force_admitted(0, 3)  # one empty composition; n = 0 is in the domain
 
 
 def test_brute_force_admitted_rejects_bad_input():

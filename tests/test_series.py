@@ -42,9 +42,9 @@ def test_constructor_rejects_negative_order_and_empty():
 def test_indexing_bounds():
     s = tree_series(2)
     assert egf_coeff(s, 2) == 2
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match=r"^coefficient index 3 beyond truncation order 2$"):
         egf_coeff(s, 3)
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match=r"^coefficient index -1 beyond truncation order 2$"):
         egf_coeff(s, -1)
 
 
