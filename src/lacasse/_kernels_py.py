@@ -51,10 +51,16 @@ def tree_egf(order: int) -> list:
     """EGF integers of the tree function, solving y = z*exp(y) online.
 
     With g = exp(y), the z-shift reads y[m] = m * g[m-1], and g' = y'g
-    gives g[m] = sum_{j=1..m} C(m-1, j-1) y[j] g[m-j], which needs y only
-    through index m.  So one pass alternates the two: read y[m] off g, then
-    extend g by one coefficient.  O(order^2) products (the relaxed solve of
-    Brent & Kung, JACM 1978, and van der Hoeven, JSC 2002).
+    gives g[m] = sum_{j=1..m} C(m-1, j-1) y[j] g[m-j]
+    = sum_{i=0..m-1} C(m-1, i) (i+1) g[i] g[m-1-i], which needs g only
+    through index m-1.  So one pass alternates the two: read y[m] off g,
+    then extend g by one coefficient (the relaxed solve of Brent & Kung,
+    JACM 1978, and van der Hoeven, JSC 2002).  The terms i and m-1-i share
+    their binomial and their weights sum to m+1, so
+    g[m] = (m+1) sum_{i < (m-1)/2} C(m-1, i) g[i] g[m-1-i], plus the middle
+    term (h+1) C(m-1, h) g[h]^2 at h = (m-1)/2 when m is odd: only the
+    first half of the Pascal row is read, and the whole solve takes about
+    order^2/4 products of a binomial and two coefficients.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
@@ -66,9 +72,13 @@ def tree_egf(order: int) -> list:
         if m < order:
             if m > 1:
                 row = [1, *map(add, row, row[1:]), 1]
+            h = m // 2  # pairs i < h; i = h is the middle term when m is odd
             acc = 0
-            for j in range(1, m + 1):
-                acc += row[j - 1] * y[j] * g[m - j]
+            for i in range(h):
+                acc += row[i] * g[i] * g[m - 1 - i]
+            acc *= m + 1
+            if m % 2:
+                acc += (h + 1) * row[h] * g[h] * g[h]
             g.append(acc)
     return y
 
@@ -84,10 +94,13 @@ def comp_power_sum(first: int, last: int, d: int) -> list:
     s_e(n) = sum_k C(n, k) k^k s_(e-1)(n - k) from s_1(m) = m^m.  One sweep
     over n = 0..last carries a single Pascal row, advanced by addition,
     and for each n runs the d - 1 rounds on the shared weights
-    C(n, k) k^k; only the last round, which no other reads, is restricted
-    to first..last.  Each sub-sum s_e(m) is thus built once and reused by
-    every n above m: about d * last^2 / 2 products for the whole window,
-    with no division and no table of binomials.
+    w[k] = C(n, k) k^k; only the last round, which no other reads, is
+    restricted to first..last.  Round 2 is symmetric, its terms k and n - k
+    both C(n, k) k^k (n-k)^(n-k), so it is 2 sum_{k < n/2} w[k] (n-k)^(n-k)
+    plus w[n/2] (n/2)^(n/2) when n is even, half a round of products.  Each
+    sub-sum s_e(m) is thus built once and reused by every n above m: about
+    (d - 1/2) * last^2 / 2 products for the whole window, with no division
+    and no table of binomials.
     """
     if first < 0 or last < first:
         raise ValueError(f"invalid window [{first}, {last}]; need 0 <= first <= last")
@@ -102,11 +115,15 @@ def comp_power_sum(first: int, last: int, d: int) -> list:
     for n in range(last + 1):
         if n:
             row = [1, *map(add, row, row[1:]), 1]
+        rounds = [*mids, out] if n >= first else mids
+        if not rounds:
+            continue
         w = list(map(mul, row, powt))  # C(n, k) k^k for k = 0..n
-        prev = powt
-        for s in mids:
-            s.append(sum(map(mul, w, reversed(prev[: n + 1]))))
-            prev = s
-        if n >= first:
-            out.append(sum(map(mul, w, reversed(prev[: n + 1]))))
+        half = (n + 1) // 2  # pairs k < n/2; k = n/2 is the middle term when n is even
+        s2 = 2 * sum(map(mul, w[:half], powt[n : n - half : -1]))
+        if n % 2 == 0:
+            s2 += w[half] * powt[half]
+        rounds[0].append(s2)
+        for prev, s in zip(rounds, rounds[1:]):
+            s.append(sum(map(mul, w, reversed(prev))))  # prev holds 0..n
     return [powt[first:], *(s[first:] for s in mids), out]

@@ -59,6 +59,9 @@ def test_alpha_routes_agree_midrange():
     brute = comp_power_sum(0, 60, 3)[1]  # round 2 of verify_range's sweep
     for n in range(61):
         assert alpha_direct(n) == alpha_closed(n) == brute[n]
+    # round 2 as the output round of a d = 2 sweep on a window above 0:
+    # odd and even n reach both the paired terms and the middle term
+    assert comp_power_sum(7, 61, 2)[1] == [alpha_direct(n) for n in range(7, 62)]
 
 
 def test_alpha_rejects_negative():
