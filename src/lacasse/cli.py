@@ -18,7 +18,6 @@ import json
 import sys
 import time
 import traceback
-from collections import namedtuple
 from fractions import Fraction
 from functools import cache, partial
 
@@ -33,51 +32,38 @@ EXIT_CRASH = 70
 
 FORMATS = ("plain", "json", "csv")
 VALUE_QUANTITIES = ("alpha", "beta", "s_d", "q", "xi", "xi2", "diff")
-CSV_HEADER = "n,quantity,d,value,passed"
+CSV_FIELDS = ("n", "quantity", "d", "value", "passed")
 
 
-class Record(
-    namedtuple("Record", "n quantity d value passed routes extra", defaults=(None, None, None))
-):
-    """One output row; renders identically-valued fields in every format."""
-
-    __slots__ = ()
-
-    def to_json(self) -> str:
-        obj = {
-            "n": self.n,
-            "quantity": self.quantity,
-            "d": self.d,
-            "value": self.value,
-            "passed": self.passed,
-            "routes": list(self.routes) if self.routes is not None else None,
-        }
-        obj.update(self.extra or {})
-        return json.dumps(obj)
-
-    def to_csv_row(self) -> list[str]:
-        return [
-            str(self.n),
-            self.quantity,
-            "" if self.d is None else str(self.d),
-            self.value,
-            "" if self.passed is None else ("true" if self.passed else "false"),
-        ]
+def _row(n, quantity, d, value, passed=None, routes=None, **extra) -> dict:
+    """One row of value, verify or series: its JSON object, keys in output order."""
+    return dict(n=n, quantity=quantity, d=d, value=value, passed=passed, routes=routes, **extra)
 
 
-def _emit(records: list[Record], fmt: str, plain_lines: list[str]) -> None:
+def _cell(x):
+    # csv writes None as "" and an int as str(); booleans and the bench
+    # medians print in the form every CSV row of this CLI uses
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, float):
+        return f"{x:.6f}"
+    return x
+
+
+def _emit(fmt: str, rows: list[dict], plain_lines: list[str], fields=CSV_FIELDS) -> None:
+    """Write plain lines, one JSON object per row, or a CSV header and a row's ``fields``."""
     out = sys.stdout
     if fmt == "plain":
         for line in plain_lines:
             out.write(line + "\n")
     elif fmt == "json":
-        for rec in records:
-            out.write(rec.to_json() + "\n")
+        for row in rows:
+            out.write(json.dumps(row) + "\n")
     else:
-        out.write(CSV_HEADER + "\n")
+        out.write(",".join(fields) + "\n")
         writer = csv.writer(out, quoting=csv.QUOTE_ALL, lineterminator="\n")
-        for rec in records:
-            writer.writerow(rec.to_csv_row())
+        for row in rows:
+            writer.writerow([_cell(row[field]) for field in fields])
 
 
 def _parse_routes(raw: str) -> tuple[str, ...]:
@@ -101,8 +87,7 @@ def cmd_value(args) -> int:
     }
     value = identity.s_d_closed(n, d) if quantity == "s_d" else compute[quantity](n)
     text = exact_str(value)
-    rec = Record(n=n, quantity=quantity, d=d, value=text)
-    _emit([rec], args.format, [text])
+    _emit(args.format, [_row(n, quantity, d, text)], [text])
     return EXIT_OK
 
 
@@ -111,21 +96,14 @@ def cmd_verify(args) -> int:
     reports = identity.verify_range(
         args.from_, args.to, routes=routes, cutoff=args.brute_cutoff, jobs=args.jobs
     )
-    records = []
+    rows = []
     plain_lines = []
     for rep in reports:
         alpha, beta = exact_str(rep.alpha), exact_str(rep.beta)
         diff, expected = exact_str(rep.difference), exact_str(rep.expected)
-        records.append(
-            Record(
-                n=rep.n,
-                quantity="diff",
-                d=None,
-                value=diff,
-                passed=rep.passed,
-                routes=rep.routes_compared,
-                extra={"alpha": alpha, "beta": beta, "expected": expected},
-            )
+        rows.append(
+            _row(rep.n, "diff", None, diff, rep.passed, rep.routes_compared,
+                 alpha=alpha, beta=beta, expected=expected)
         )
         plain_lines.append(
             f"n={rep.n} alpha={alpha} beta={beta} diff={diff} "
@@ -136,12 +114,9 @@ def cmd_verify(args) -> int:
     summary = (
         f"verify [{args.from_},{args.to}]: {len(reports) - failed}/{len(reports)} passed"
     )
-    if args.format == "plain":
-        plain_lines.append(summary)
-        _emit(records, args.format, plain_lines)
-    else:
-        _emit(records, args.format, plain_lines)
-        print(summary, file=sys.stderr)
+    _emit(args.format, rows, plain_lines)
+    # after the rows; on stderr unless plain, so JSON and CSV stdout stay pure
+    print(summary, file=sys.stdout if args.format == "plain" else sys.stderr)
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
@@ -155,7 +130,7 @@ def cmd_series(args) -> int:
     else:
         label, d = "geom", args.d
         s = series_mod.geom_power(tree, args.d)
-    records = []
+    rows = []
     plain_lines = []
     f = 1  # m!, the only division out of the n!-scaled vector
     for m in range(order + 1):
@@ -163,9 +138,9 @@ def cmd_series(args) -> int:
             f *= m
         e = series_mod.egf_coeff(s, m)
         coeff, egf = exact_str(Fraction(e, f)), exact_str(e)
-        records.append(Record(n=m, quantity=label, d=d, value=coeff, extra={"egf": egf}))
+        rows.append(_row(m, label, d, coeff, egf=egf))
         plain_lines.append(f"{m} {coeff} {egf}")
-    _emit(records, args.format, plain_lines)
+    _emit(args.format, rows, plain_lines)
     return EXIT_OK
 
 
@@ -192,39 +167,25 @@ def cmd_bench(args) -> int:
     for route in ("closed", "series", "brute"):
         build = partial(identity.route_table, route, 1, n_max, (d,))
         median, tables[route] = _median_time(build, args.repetitions)
-        rows.append((route, median))
+        rows.append(
+            dict(route=route, median_seconds=median, n_max=n_max, d=d, repetitions=args.repetitions)
+        )
     closed = tables["closed"]
     agree = all(row == closed[n] for table in tables.values() for n, row in table.items())
     verdict = f"values agree across routes: {'yes' if agree else 'NO'}"
 
+    plain_lines = [
+        f"s_d benchmark: d={d}, n=1..{n_max}, {args.repetitions} repetition(s), median wall times",
+        *(f"  {row['route']:<6}  {row['median_seconds']:.6f}s" for row in rows),
+        verdict,
+    ]
+    if not tables["brute"]:
+        plain_lines.append("note: brute-force route admitted no n at this cutoff")
+    _emit(args.format, rows, plain_lines, fields=("route", "median_seconds"))
     if args.format == "json":
-        for route, median in rows:
-            print(
-                json.dumps(
-                    {
-                        "route": route,
-                        "median_seconds": median,
-                        "n_max": n_max,
-                        "d": d,
-                        "repetitions": args.repetitions,
-                    }
-                )
-            )
         print(json.dumps({"values_agree": agree}))
     elif args.format == "csv":
-        print("route,median_seconds")
-        writer = csv.writer(sys.stdout, quoting=csv.QUOTE_ALL, lineterminator="\n")
-        for route, median in rows:
-            writer.writerow([route, f"{median:.6f}"])
         print(verdict, file=sys.stderr)  # stdout stays pure CSV, as in verify
-    else:
-        print(f"s_d benchmark: d={d}, n=1..{n_max}, {args.repetitions} repetition(s), median wall times")
-        width = max(len(r[0]) for r in rows)
-        for route, median in rows:
-            print(f"  {route:<{width}}  {median:.6f}s")
-        print(verdict)
-        if not tables["brute"]:
-            print("note: brute-force route admitted no n at this cutoff")
     return EXIT_OK
 
 

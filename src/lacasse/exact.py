@@ -2,9 +2,11 @@
 
 Values throughout the package are Python ints (arbitrary precision, no
 overflow at any size used here) and ``fractions.Fraction`` (always lowest
-terms, positive denominator).  Factorials and binomials come straight from
-``math.factorial`` and ``math.comb``, powers from ``**``, whose
-``0**0 == 1`` is the convention every k^k factor relies on.
+terms, positive denominator).  Factorials are running products and
+binomials are Pascal rows or prefix sums, both built as the sums that use
+them run (``math.comb`` only sizes the brute-force cutoff); powers come
+from ``**``, whose ``0**0 == 1`` is the convention every k^k factor
+relies on.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ import functools
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -673,6 +674,91 @@ def test_bench_bad_d(capsys):
         code, _, err = main_out(capsys, "bench", "--n-max", "3", "--d", d)
         assert code == 2
         assert err.startswith("error:")
+
+
+# --- exact output text, stdout and stderr in the order written --------------
+
+
+def interleaved_main(*args: str) -> tuple[int, str]:
+    # stdout and stderr into one buffer, so a line's stream position shows
+    both = io.StringIO()
+    with contextlib.redirect_stdout(both), contextlib.redirect_stderr(both):
+        code = cli.main(list(args))
+    return code, both.getvalue()
+
+
+def test_series_csv_text():
+    assert interleaved_main("series", "tree", "--order", "3", "--format", "csv") == (
+        0,
+        "n,quantity,d,value,passed\n"
+        '"0","tree","","0",""\n'
+        '"1","tree","","1",""\n'
+        '"2","tree","","1",""\n'
+        '"3","tree","","3/2",""\n',
+    )
+    assert interleaved_main("series", "geom", "--order", "2", "--d", "2", "--format", "csv") == (
+        0,
+        "n,quantity,d,value,passed\n"
+        '"0","geom","2","1",""\n'
+        '"1","geom","2","2",""\n'
+        '"2","geom","2","5",""\n',
+    )
+
+
+def test_json_lines_text():
+    assert interleaved_main("series", "tree", "--order", "1", "--format", "json") == (
+        0,
+        '{"n": 0, "quantity": "tree", "d": null, "value": "0", "passed": null, '
+        '"routes": null, "egf": "0"}\n'
+        '{"n": 1, "quantity": "tree", "d": null, "value": "1", "passed": null, '
+        '"routes": null, "egf": "1"}\n',
+    )
+    assert interleaved_main("verify", "--from", "2", "--to", "3", "--format", "json") == (
+        0,
+        '{"n": 2, "quantity": "diff", "d": null, "value": "8", "passed": true, '
+        '"routes": ["closed", "brute", "series"], "alpha": "10", "beta": "18", '
+        '"expected": "8"}\n'
+        '{"n": 3, "quantity": "diff", "d": null, "value": "81", "passed": true, '
+        '"routes": ["closed", "brute", "series"], "alpha": "78", "beta": "159", '
+        '"expected": "81"}\n'
+        "verify [2,3]: 2/2 passed\n",
+    )
+    assert interleaved_main("value", "s_d", "5", "--d", "3", "--format", "json") == (
+        0,
+        '{"n": 5, "quantity": "s_d", "d": 3, "value": "26595", "passed": null, '
+        '"routes": null}\n',
+    )
+    assert interleaved_main("value", "q", "3", "--format", "json") == (
+        0,
+        '{"n": 3, "quantity": "q", "d": null, "value": "17/9", "passed": null, '
+        '"routes": null}\n',
+    )
+
+
+def test_bench_json_and_csv_text():
+    args = ("bench", "--n-max", "4", "--d", "3", "--repetitions", "1")
+    code, text = interleaved_main(*args, "--format", "json")
+    assert code == 0
+    lines = text.splitlines()
+    assert len(lines) == 4
+    for route, line in zip(("closed", "series", "brute"), lines):
+        row = json.loads(line)
+        assert list(row) == ["route", "median_seconds", "n_max", "d", "repetitions"]
+        assert isinstance(row["median_seconds"], float)
+        row["median_seconds"] = 0.5
+        assert json.dumps(row) == (
+            f'{{"route": "{route}", "median_seconds": 0.5, "n_max": 4, "d": 3, '
+            '"repetitions": 1}'
+        )
+    assert lines[3] == '{"values_agree": true}'
+
+    code, text = interleaved_main(*args, "--format", "csv")
+    assert code == 0
+    assert re.fullmatch(
+        r'route,median_seconds\n"closed","\d+\.\d{6}"\n"series","\d+\.\d{6}"\n'
+        r'"brute","\d+\.\d{6}"\nvalues agree across routes: yes\n',
+        text,
+    )
 
 
 # --- subprocess end-to-end ---------------------------------------------------

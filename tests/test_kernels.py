@@ -60,7 +60,7 @@ def test_egf_geom_power_matches_fraction_oracle(u, d):
 
 
 @given(u=int_vectors)
-def test_egf_recip_times_input_is_one(u):
+def test_egf_geom_power_d1_times_one_minus_u_is_one(u):
     # the d = 1 power is the reciprocal of 1 - u
     u = [0] + u[1:]
     one_minus_u = [1] + [-c for c in u[1:]]
@@ -70,7 +70,7 @@ def test_egf_recip_times_input_is_one(u):
 
 @given(u=int_vectors, d=st.integers(min_value=1, max_value=6))
 @settings(deadline=None)
-def test_egf_pow_matches_repeated_mul(u, d):
+def test_egf_geom_power_matches_repeated_mul(u, d):
     u = [0] + u[1:]
     inv = _kernels_py.egf_geom_power(u, 1)
     want = list(inv)
