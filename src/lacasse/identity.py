@@ -23,7 +23,7 @@ from functools import partial
 from itertools import accumulate
 from math import comb
 
-from . import backend
+from . import kernels
 from . import series as _series
 from .exact import DomainError, exact_str
 from .series import ConsistencyError
@@ -284,7 +284,7 @@ def route_table(
     admitted = [n for n in window if brute_force_admitted(n, top, cutoff)]
     if not admitted:
         return {}
-    rounds = backend.kernels.comp_power_sum(first, admitted[-1], top)
+    rounds = kernels.comp_power_sum(first, admitted[-1], top)
     return {n: [rounds[d - 1][i] for d in ds] for i, n in enumerate(admitted)}
 
 

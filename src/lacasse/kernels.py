@@ -1,6 +1,11 @@
-"""Pure-Python kernels for the hot inner loops.
+"""The integer kernels behind the series and brute-force routes.
 
-Callers reach these through ``backend.kernels``.
+``series`` and ``identity`` call these as ``kernels.<fn>``, read as module
+attributes at call time, so rebinding one function here reaches every
+caller: the benchmark's tracer wraps them that way, and the
+fault-injection tests break one at a time.  The brute route makes one
+``comp_power_sum`` call per ``identity.route_table``, not one per n, so a
+wrapper sees the whole window and every round at once.
 
 Series kernels work on EGF integer vectors: entry m holds m! times the
 coefficient of z^m.  For every series handled here (the tree function and

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from . import backend
+from . import kernels
 from .exact import DomainError, exact_str
 
 __all__ = [
@@ -43,7 +43,7 @@ def tree_series(order: int) -> tuple[int, ...]:
     if order < 0:
         raise DomainError(f"order must be >= 0, got {order}")
     formula = [0] + [n ** (n - 1) for n in range(1, order + 1)]
-    fixed_point = backend.kernels.tree_egf(order)
+    fixed_point = kernels.tree_egf(order)
     if formula != fixed_point:
         bad = next(i for i in range(order + 1) if formula[i] != fixed_point[i])
         raise ConsistencyError(
@@ -64,7 +64,7 @@ def geom_power(y: Sequence[int], d: int) -> tuple[int, ...]:
         raise DomainError(f"geom_power requires d >= 1, got {d}")
     if not y or y[0] != 0:
         raise DomainError("geom_power requires a zero constant term")
-    return tuple(backend.kernels.egf_geom_power(y, d))
+    return tuple(kernels.egf_geom_power(y, d))
 
 
 def egf_coeff(s: Sequence[int], n: int) -> int:

@@ -15,7 +15,6 @@ from pathlib import Path
 
 import lacasse
 from lacasse import cli, identity
-from lacasse._kernels_py import comp_power_sum
 from lacasse.identity import (
     alpha_closed,
     beta_closed,
@@ -24,6 +23,7 @@ from lacasse.identity import (
     telescoping_difference,
     verify_range,
 )
+from lacasse.kernels import comp_power_sum
 from lacasse.series import egf_coeff, geom_power, tree_series
 from oracles import alpha_direct, beta_direct, exp_trunc, mul, to_fractions, z
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import lacasse
-from lacasse import backend, cli, identity
+from lacasse import cli, identity, kernels
 from lacasse.identity import VerificationReport, alpha_closed, beta_closed, ramanujan_q
 from lacasse.series import ConsistencyError
 
@@ -339,7 +339,7 @@ def _off_by_one_at(fn, index):
 
 def _sweep_off_by_one_at(n, round_index):
     # comp_power_sum with one entry of one round, at n, one too large
-    real = backend.kernels.comp_power_sum
+    real = kernels.comp_power_sum
 
     def broken(first, last, d):
         rounds = real(first, last, d)
@@ -350,7 +350,7 @@ def _sweep_off_by_one_at(n, round_index):
 
 
 def test_verify_brute_fault_names_route_and_n(monkeypatch, capsys):
-    monkeypatch.setattr(backend.kernels, "comp_power_sum", _sweep_off_by_one_at(5, -1))
+    monkeypatch.setattr(kernels, "comp_power_sum", _sweep_off_by_one_at(5, -1))
     # from 3, an n read off the sweep at the wrong offset would miss n = 5
     for first in ("1", "3"):
         code, _, err = main_out(capsys, "verify", "--from", first, "--to", "8")
@@ -362,7 +362,7 @@ def test_verify_brute_fault_names_route_and_n(monkeypatch, capsys):
 def test_verify_brute_alpha_fault_names_route_pair_and_n(monkeypatch, capsys):
     # round 2 of the sweep is the brute alpha; breaking it alone must show
     # as alpha, against the closed route, at the broken n
-    monkeypatch.setattr(backend.kernels, "comp_power_sum", _sweep_off_by_one_at(5, 1))
+    monkeypatch.setattr(kernels, "comp_power_sum", _sweep_off_by_one_at(5, 1))
     for first in ("1", "3"):
         code, _, err = main_out(capsys, "verify", "--from", first, "--to", "8")
         assert code == 1
@@ -373,13 +373,13 @@ def test_verify_brute_alpha_fault_names_route_pair_and_n(monkeypatch, capsys):
 def test_verify_brute_cutoff_boundary(monkeypatch, capsys):
     # C(11+2, 2) = 78 compositions admits n = 11; n = 12 has 91
     calls = []
-    real = backend.kernels.comp_power_sum
+    real = kernels.comp_power_sum
 
     def spy(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(backend.kernels, "comp_power_sum", spy)
+    monkeypatch.setattr(kernels, "comp_power_sum", spy)
     code, out, _ = main_out(
         capsys, "verify", "--from", "5", "--to", "12", "--brute-cutoff", "78"
     )
@@ -393,20 +393,14 @@ def test_verify_brute_cutoff_boundary(monkeypatch, capsys):
 
 
 def test_verify_series_fault_names_route(monkeypatch, capsys):
-    monkeypatch.setattr(
-        backend.kernels,
-        "egf_geom_power",
-        _off_by_one_at(backend.kernels.egf_geom_power, 4),
-    )
+    monkeypatch.setattr(kernels, "egf_geom_power", _off_by_one_at(kernels.egf_geom_power, 4))
     code, _, err = main_out(capsys, "verify", "--from", "1", "--to", "8")
     assert code == 1
     assert "'series'" in err and "alpha(4)" in err
 
 
 def test_verify_tree_fault_is_consistency_failure(monkeypatch, capsys):
-    monkeypatch.setattr(
-        backend.kernels, "tree_egf", _off_by_one_at(backend.kernels.tree_egf, 3)
-    )
+    monkeypatch.setattr(kernels, "tree_egf", _off_by_one_at(kernels.tree_egf, 3))
     code, _, err = main_out(capsys, "verify", "--from", "1", "--to", "8")
     assert code == 1
     assert "verification failure: tree series constructions disagree at z^3" in err
@@ -483,7 +477,7 @@ def test_tree_fault_past_digit_limit(monkeypatch, capsys):
         y[-1] += 1
         return y
 
-    monkeypatch.setattr(backend.kernels, "tree_egf", broken)
+    monkeypatch.setattr(kernels, "tree_egf", broken)
     code, out, err = main_out(capsys, "series", "tree", "--order", "1700")
     assert code == 1
     assert out == ""
@@ -496,7 +490,7 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch, capsys):
     def boom(order):
         raise ValueError("internal fault")
 
-    monkeypatch.setattr(backend.kernels, "tree_egf", boom)
+    monkeypatch.setattr(kernels, "tree_egf", boom)
     with pytest.raises(ValueError, match="internal fault"):
         cli.main(["series", "tree", "--order", "3"])
 
@@ -505,7 +499,7 @@ def test_entry_point_exits_70_on_internal_fault(monkeypatch, capsys):
     def boom(order):
         raise RuntimeError("internal fault")
 
-    monkeypatch.setattr(backend.kernels, "tree_egf", boom)
+    monkeypatch.setattr(kernels, "tree_egf", boom)
     monkeypatch.setattr(sys, "argv", ["lacasse", "series", "tree", "--order", "3"])
     with pytest.raises(SystemExit) as exc:
         cli.main_entry()
@@ -577,7 +571,7 @@ def test_series_bad_d_rejected_before_the_tree(monkeypatch, capsys):
     def boom(order):
         raise AssertionError("the tree was built")
 
-    monkeypatch.setattr(backend.kernels, "tree_egf", boom)
+    monkeypatch.setattr(kernels, "tree_egf", boom)
     code, out, err = main_out(capsys, "series", "geom", "--order", "700", "--d", "0")
     assert code == 2
     assert out == ""
@@ -638,7 +632,7 @@ def test_bench_d1_routes_agree(capsys):
 def test_bench_reports_disagreement(monkeypatch, capsys):
     # the sweep's last round is the brute s_d; a disagreement is reported,
     # never asserted
-    monkeypatch.setattr(backend.kernels, "comp_power_sum", _sweep_off_by_one_at(3, -1))
+    monkeypatch.setattr(kernels, "comp_power_sum", _sweep_off_by_one_at(3, -1))
     args = ("bench", "--n-max", "6", "--d", "3", "--repetitions", "1")
     code, out, _ = main_out(capsys, *args)
     assert code == 0
@@ -836,7 +830,7 @@ def test_subprocess_verify_plain_jobs_independence():
 # sitecustomize.py runs at every interpreter start, so a fault set there
 # reaches each pool worker under any start method
 SWEEP_FAULT = """
-from lacasse.backend import kernels
+from lacasse import kernels
 
 real = kernels.comp_power_sum
 
@@ -849,7 +843,7 @@ kernels.comp_power_sum = broken
 """
 
 TREE_FAULT = """
-from lacasse.backend import kernels
+from lacasse import kernels
 
 real = kernels.tree_egf
 

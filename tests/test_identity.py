@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lacasse import backend, identity
-from lacasse._kernels_py import comp_power_sum
+from lacasse import identity, kernels
 from lacasse.exact import DomainError
 from lacasse.identity import (
     IdentityFailureError,
@@ -25,6 +24,7 @@ from lacasse.identity import (
     xi,
     xi2,
 )
+from lacasse.kernels import comp_power_sum
 from lacasse.series import ConsistencyError, egf_coeff, geom_power, tree_series
 from oracles import (
     CompositionCursor,
@@ -138,6 +138,29 @@ def test_s_d_strictly_increasing_in_d():
     for n in range(1, 26):
         for d in range(1, 6):
             assert s_d_closed(n, d + 1) > s_d_closed(n, d)
+
+
+# The Lacasse family k (s_(k+2)(n) - s_(k+1)(n)) = n s_k(n), from
+# zD (1-y)^(-k) = k ((1-y)^(-k-2) - (1-y)^(-k-1)); k = 1 is the paper's
+# identity, as s_1(n) = n^n.  Each route is checked by itself, not against
+# another.
+
+
+def test_lacasse_family_closed():
+    for n in range(201):
+        s = [None] + [s_d_closed(n, d) for d in range(1, 9)]
+        for k in range(1, 7):
+            assert k * (s[k + 2] - s[k + 1]) == n * s[k]
+
+
+def test_lacasse_family_series():
+    # the series power at d = 1..8 through order 200; no other test runs
+    # it at d = 4..8 past n = 30
+    t = tree_series(200)
+    s = [None] + [geom_power(t, d) for d in range(1, 9)]
+    for k in range(1, 7):
+        for n in range(201):
+            assert k * (s[k + 2][n] - s[k + 1][n]) == n * s[k][n]
 
 
 @given(data=st.data(), n=st.integers(min_value=0, max_value=60))
@@ -330,14 +353,14 @@ def test_verify_closed_only_route():
 
 def test_verify_detects_route_disagreement(monkeypatch):
     # break round 2 of the brute sweep, the brute alpha, at n = 4 only
-    real = backend.kernels.comp_power_sum
+    real = kernels.comp_power_sum
 
     def broken(first, last, d):
         rounds = real(first, last, d)
         rounds[1][4 - first] += 1
         return rounds
 
-    monkeypatch.setattr(backend.kernels, "comp_power_sum", broken)
+    monkeypatch.setattr(kernels, "comp_power_sum", broken)
     with pytest.raises(RouteDisagreementError) as exc:
         verify_lacasse(4)
     assert exc.value.quantity == "alpha"
@@ -354,14 +377,14 @@ def test_verify_detects_identity_failure(monkeypatch):
 
 
 def test_verify_detects_series_fault(monkeypatch):
-    real = backend.kernels.egf_geom_power
+    real = kernels.egf_geom_power
 
     def broken(y, d):
         out = real(y, d)
         out[3] += 1
         return out
 
-    monkeypatch.setattr(backend.kernels, "egf_geom_power", broken)
+    monkeypatch.setattr(kernels, "egf_geom_power", broken)
     with pytest.raises(RouteDisagreementError) as exc:
         verify_lacasse(3)
     assert set(exc.value.routes) == {"closed", "series"}

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lacasse import _kernels_py, backend
+from lacasse import kernels
 from oracles import (
     add,
     comp_sum,
@@ -27,12 +27,6 @@ from oracles import (
 )
 
 int_vectors = st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=10)
-
-
-def test_backend_kernels_is_the_kernel_module():
-    # series and identity call through this attribute, and the benchmark's
-    # per-layer tracer rebinds it; it must be the module the tests check
-    assert backend.kernels is _kernels_py
 
 
 @given(u=int_vectors, v=int_vectors)
@@ -56,7 +50,7 @@ def test_egf_geom_power_matches_fraction_oracle(u, d):
     want = inv
     for _ in range(d - 1):
         want = mul(want, inv)
-    assert _kernels_py.egf_geom_power(u, d) == to_egf(want)
+    assert kernels.egf_geom_power(u, d) == to_egf(want)
 
 
 @given(u=int_vectors)
@@ -65,21 +59,21 @@ def test_egf_geom_power_d1_times_one_minus_u_is_one(u):
     u = [0] + u[1:]
     one_minus_u = [1] + [-c for c in u[1:]]
     one = [1] + [0] * (len(u) - 1)
-    assert egf_mul(_kernels_py.egf_geom_power(u, 1), one_minus_u) == one
+    assert egf_mul(kernels.egf_geom_power(u, 1), one_minus_u) == one
 
 
 @given(u=int_vectors, d=st.integers(min_value=1, max_value=6))
 @settings(deadline=None)
 def test_egf_geom_power_matches_repeated_mul(u, d):
     u = [0] + u[1:]
-    inv = _kernels_py.egf_geom_power(u, 1)
+    inv = kernels.egf_geom_power(u, 1)
     want = list(inv)
     for _ in range(d - 1):
         want = egf_mul(want, inv)
-    assert _kernels_py.egf_geom_power(u, d) == want
+    assert kernels.egf_geom_power(u, d) == want
 
 
-def test_egf_validation_errors(kernels):
+def test_egf_validation_errors():
     with pytest.raises(ValueError, match="d >= 1"):
         kernels.egf_geom_power([0, 1], 0)
     with pytest.raises(ValueError, match="d >= 1"):
@@ -90,13 +84,13 @@ def test_egf_validation_errors(kernels):
         kernels.egf_geom_power([], 2)
 
 
-def test_tree_egf_small_values(kernels):
+def test_tree_egf_small_values():
     # rooted labeled trees: 1, 2, 9, 64, 625 for n = 1..5
     assert kernels.tree_egf(5) == [0, 1, 2, 9, 64, 625]
     assert kernels.tree_egf(0) == [0]
 
 
-def test_tree_egf_satisfies_functional_equation(kernels):
+def test_tree_egf_satisfies_functional_equation():
     # y = z*exp(y) in EGF terms: y[k] == k * exp(y)[k-1]
     y = kernels.tree_egf(40)
     g = egf_exp(y[:40])
@@ -104,24 +98,24 @@ def test_tree_egf_satisfies_functional_equation(kernels):
         assert y[k] == k * g[k - 1]
 
 
-def test_tree_egf_matches_fixed_point_oracle(kernels):
+def test_tree_egf_matches_fixed_point_oracle():
     for k in range(81):
         assert kernels.tree_egf(k) == tree_fixed_point(k)
 
 
-def test_tree_egf_matches_formula_at_large_order(kernels):
+def test_tree_egf_matches_formula_at_large_order():
     y = kernels.tree_egf(300)
     assert y[0] == 0
     for n in range(1, 301):
         assert y[n] == n ** (n - 1)
 
 
-def test_tree_egf_rejects_negative(kernels):
+def test_tree_egf_rejects_negative():
     with pytest.raises(ValueError):
         kernels.tree_egf(-1)
 
 
-def test_comp_power_sum_examples(kernels):
+def test_comp_power_sum_examples():
     assert kernels.comp_power_sum(2, 2, 2) == [[4], [10]]
     assert kernels.comp_power_sum(1, 1, 3) == [[1], [2], [3]]
     assert kernels.comp_power_sum(0, 0, 4) == [[1]] * 4
@@ -129,7 +123,7 @@ def test_comp_power_sum_examples(kernels):
     assert kernels.comp_power_sum(0, 2, 2) == [[1, 1, 4], [1, 2, 10]]
 
 
-def test_comp_power_sum_matches_cursor_oracle(kernels):
+def test_comp_power_sum_matches_cursor_oracle():
     # every round e = 1..d on every window [first, last] with last <= 12:
     # first = 0, first = last and first > 0 alike, so a window misaligned
     # by first, or a round misaligned by e, shows
@@ -143,14 +137,14 @@ def test_comp_power_sum_matches_cursor_oracle(kernels):
                 ]
 
 
-def test_comp_power_sum_part_count_beyond_recursion_limit(kernels):
+def test_comp_power_sum_part_count_beyond_recursion_limit():
     # n = 1 has e compositions into e parts, one 1 among zeros, each of
     # weight 1
     assert kernels.comp_power_sum(0, 1, 3000) == [[1, e] for e in range(1, 3001)]
     assert kernels.comp_power_sum(1, 1, 3000)[-1] == [3000]
 
 
-def test_kernels_leave_no_reference_cycles(kernels):
+def test_kernels_leave_no_reference_cycles():
     # a cycle keeps a call's Pascal rows and rounds alive until the cyclic
     # collector runs, which shows up as peak RSS in a sweep of calls
     gc.disable()
@@ -163,7 +157,7 @@ def test_kernels_leave_no_reference_cycles(kernels):
         gc.enable()
 
 
-def test_comp_power_sum_validation(kernels):
+def test_comp_power_sum_validation():
     for first, last, d in ((-1, 3, 3), (4, 3, 3), (0, 3, 0), (2, 2, -1)):
         with pytest.raises(ValueError):
             kernels.comp_power_sum(first, last, d)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lacasse import _kernels_py, backend
+from lacasse import kernels
 from lacasse.exact import DomainError
 from lacasse.series import ConsistencyError, egf_coeff, geom_power, tree_series
 from oracles import (
@@ -147,15 +147,15 @@ def test_tree_series_coefficients_are_cayley_counts():
 
 
 def test_tree_series_consistency_guard(monkeypatch):
-    class BrokenKernels:
-        @staticmethod
-        def tree_egf(order):
-            good = _kernels_py.tree_egf(order)
-            if order >= 3:
-                good[3] += 1
-            return good
+    real = kernels.tree_egf
 
-    monkeypatch.setattr(backend, "kernels", BrokenKernels)
+    def broken(order):
+        good = real(order)
+        if order >= 3:
+            good[3] += 1
+        return good
+
+    monkeypatch.setattr(kernels, "tree_egf", broken)
     with pytest.raises(ConsistencyError):
         tree_series(5)
 
