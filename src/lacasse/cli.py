@@ -136,7 +136,7 @@ def cmd_series(args) -> int:
     for m in range(order + 1):
         if m:
             f *= m
-        e = series_mod.egf_coeff(s, m)
+        e = s[m]
         coeff, egf = exact_str(Fraction(e, f)), exact_str(e)
         rows.append(_row(m, label, d, coeff, egf=egf))
         plain_lines.append(f"{m} {coeff} {egf}")
@@ -164,7 +164,7 @@ def cmd_bench(args) -> int:
     n_max, d = args.n_max, args.d
     rows = []
     tables = {}
-    for route in ("closed", "series", "brute"):
+    for route in ("closed", "series", "brute"):  # closed first: s_d_closed rejects a bad d
         build = partial(identity.route_table, route, 1, n_max, (d,))
         median, tables[route] = _median_time(build, args.repetitions)
         rows.append(

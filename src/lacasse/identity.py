@@ -29,7 +29,6 @@ from .exact import DomainError, exact_str
 from .series import ConsistencyError
 
 __all__ = [
-    "ALL_ROUTES",
     "DEFAULT_BRUTE_CUTOFF",
     "IdentityFailureError",
     "RouteDisagreementError",
@@ -220,11 +219,10 @@ def ramanujan_q(n: int) -> Fraction:
 
 
 def brute_force_admitted(n: int, d: int, cutoff: int = DEFAULT_BRUTE_CUTOFF) -> bool:
-    """True when the d-part enumeration of n stays within the term cutoff."""
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}")
+    """True when the d-part enumeration of n stays within the term cutoff.
+
+    Needs n >= 0 and d >= 1; the caller checks.
+    """
     return comb(n + d - 1, d - 1) <= cutoff
 
 
@@ -270,6 +268,7 @@ def route_table(
     ``brute`` reads rounds ``ds`` off one ``comp_power_sum`` sweep at
     ``max(ds)`` over the n whose enumeration stays within ``cutoff``
     (admission only ever drops n from the top, so they are a prefix).
+    Needs 0 <= first <= last and every d >= 1; the caller checks.
     """
     window = range(first, last + 1)
     if route == "closed":
@@ -277,7 +276,7 @@ def route_table(
     if route == "series":
         t = _series.tree_series(last)
         powers = [_series.geom_power(t, d) for d in ds]
-        return {n: [_series.egf_coeff(p, n) for p in powers] for n in window}
+        return {n: [p[n] for p in powers] for n in window}
     if route != "brute":
         raise DomainError(f"unknown route {route!r}; valid routes are {ALL_ROUTES}")
     top = max(ds)

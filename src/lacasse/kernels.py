@@ -2,10 +2,9 @@
 
 ``series`` and ``identity`` call these as ``kernels.<fn>``, read as module
 attributes at call time, so rebinding one function here reaches every
-caller: the benchmark's tracer wraps them that way, and the
-fault-injection tests break one at a time.  The brute route makes one
-``comp_power_sum`` call per ``identity.route_table``, not one per n, so a
-wrapper sees the whole window and every round at once.
+caller: the fault-injection tests break one at a time that way.  The
+brute route makes one ``comp_power_sum`` call per ``identity.route_table``,
+not one per n, so a wrapper sees the whole window and every round at once.
 
 Series kernels work on EGF integer vectors: entry m holds m! times the
 coefficient of z^m.  For every series handled here (the tree function and
@@ -26,7 +25,8 @@ from operator import add, mul
 
 
 def egf_geom_power(y: list, d: int) -> list:
-    """(1/(1 - y))^d for a vector whose constant term is 0, d >= 1.
+    """(1/(1 - y))^d.  Needs a nonempty y with y[0] == 0, and d >= 1; the
+    caller checks.
 
     P = (1 - y)^(-d) satisfies P'(1 - y) = d y' P, and the coefficient of
     z^(m-1) on both sides gives
@@ -35,10 +35,6 @@ def egf_geom_power(y: list, d: int) -> list:
     reciprocal and no chain of products (J.C.P. Miller's power recurrence,
     Knuth, TAOCP vol. 2, 4.7).
     """
-    if d < 1:
-        raise ValueError(f"egf_geom_power requires d >= 1, got {d}")
-    if not y or y[0] != 0:
-        raise ValueError("egf_geom_power requires constant term 0")
     n = len(y) - 1
     p = [1]
     row = [1]  # row m - 1 of Pascal's triangle at step m
@@ -54,6 +50,7 @@ def egf_geom_power(y: list, d: int) -> list:
 
 def tree_egf(order: int) -> list:
     """EGF integers of the tree function, solving y = z*exp(y) online.
+    Needs order >= 0; the caller checks.
 
     With g = exp(y), the z-shift reads y[m] = m * g[m-1], and g' = y'g
     gives g[m] = sum_{j=1..m} C(m-1, j-1) y[j] g[m-j]
@@ -67,8 +64,6 @@ def tree_egf(order: int) -> list:
     first half of the Pascal row is read, and the whole solve takes about
     order^2/4 products of a binomial and two coefficients.
     """
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
     y = [0] * (order + 1)
     g = [1]
     row = [1]  # row m - 1 of Pascal's triangle at step m
@@ -105,12 +100,9 @@ def comp_power_sum(first: int, last: int, d: int) -> list:
     plus w[n/2] (n/2)^(n/2) when n is even, half a round of products.  Each
     sub-sum s_e(m) is thus built once and reused by every n above m: about
     (d - 1/2) * last^2 / 2 products for the whole window, with no division
-    and no table of binomials.
+    and no table of binomials.  Needs 0 <= first <= last and d >= 1; the
+    caller checks.
     """
-    if first < 0 or last < first:
-        raise ValueError(f"invalid window [{first}, {last}]; need 0 <= first <= last")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
     powt = [k**k for k in range(last + 1)]
     if d == 1:
         return [powt[first:]]

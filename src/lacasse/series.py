@@ -16,7 +16,6 @@ from .exact import DomainError, exact_str
 
 __all__ = [
     "ConsistencyError",
-    "egf_coeff",
     "geom_power",
     "tree_series",
 ]
@@ -65,10 +64,3 @@ def geom_power(y: Sequence[int], d: int) -> tuple[int, ...]:
     if not y or y[0] != 0:
         raise DomainError("geom_power requires a zero constant term")
     return tuple(kernels.egf_geom_power(y, d))
-
-
-def egf_coeff(s: Sequence[int], n: int) -> int:
-    """n! times the coefficient of z^n in the n!-scaled vector s, i.e. s[n]."""
-    if not 0 <= n < len(s):
-        raise IndexError(f"coefficient index {n} beyond truncation order {len(s) - 1}")
-    return s[n]

@@ -24,7 +24,7 @@ from lacasse.identity import (
     verify_range,
 )
 from lacasse.kernels import comp_power_sum
-from lacasse.series import egf_coeff, geom_power, tree_series
+from lacasse.series import geom_power, tree_series
 from oracles import alpha_direct, beta_direct, exp_trunc, mul, to_fractions, z
 
 
@@ -49,7 +49,7 @@ def test_criterion_02_alpha_triple_route_0_to_100():
     ok = True
     for n in range(101):
         closed = alpha_closed(n)
-        series_val = egf_coeff(s2, n)
+        series_val = s2[n]
         ok = ok and alpha_direct(n) == closed
         ok = ok and series_val == closed
     _report("2", ok, "alpha: definitional sum = closed form = n![z^n](1/(1-y))^2, n=0..100")
@@ -62,7 +62,7 @@ def test_criterion_03_beta_triple_route_0_to_60():
     ok = True
     for n in range(61):
         closed = beta_closed(n)
-        series_val = egf_coeff(s3, n)
+        series_val = s3[n]
         ok = ok and beta_direct(n) == closed
         ok = ok and series_val == closed
     _report("3", ok, "beta: 3-part enumeration = closed form = n![z^n](1/(1-y))^3, n=0..60")
@@ -77,7 +77,7 @@ def test_criterion_04_general_d_coefficient_formula():
         brute = comp_power_sum(0, 30, d)[-1]
         for n in range(31):
             closed = s_d_closed(n, d)
-            series_val = egf_coeff(s, n)
+            series_val = s[n]
             ok = ok and closed == brute[n]
             ok = ok and series_val == closed
     _report("4", ok, "s_d closed form = brute composition sum = series, d=1..5, n<=30")

@@ -1,10 +1,14 @@
+import ast
+from pathlib import Path
+
+import pytest
+
 import lacasse
 import lacasse.exact
 
 # The names the README's Library section and the CLI need; anything more
 # is surface to maintain, so the list grows only on purpose.
 PUBLIC_NAMES = [
-    "ALL_ROUTES",
     "ConsistencyError",
     "DEFAULT_BRUTE_CUTOFF",
     "DomainError",
@@ -13,7 +17,6 @@ PUBLIC_NAMES = [
     "VerificationReport",
     "alpha_closed",
     "beta_closed",
-    "egf_coeff",
     "geom_power",
     "ramanujan_q",
     "s_d_closed",
@@ -34,3 +37,32 @@ def test_public_api_is_pinned():
 
 def test_exact_exports_only_domain_error():
     assert lacasse.exact.__all__ == ["DomainError"]
+
+
+def _readme_library_block() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("\n```", 1)[0]
+
+
+def test_readme_library_block_holds():
+    # the import runs as written, every == line is True, and the
+    # verify_range line returns its 300 passing reports
+    namespace = {}
+    checked = 0
+    for stmt in ast.parse(_readme_library_block()).body:
+        if isinstance(stmt, ast.ImportFrom):
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+            continue
+        assert isinstance(stmt, ast.Expr), ast.unparse(stmt)
+        value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+        expr = stmt.value
+        if isinstance(expr, ast.Compare) and all(isinstance(op, ast.Eq) for op in expr.ops):
+            assert value is True, ast.unparse(stmt)
+        elif isinstance(expr, ast.Call) and ast.unparse(expr.func) == "verify_range":
+            assert [r.n for r in value] == list(range(1, 301))
+            assert all(r.passed for r in value)
+        else:
+            pytest.fail(f"README line with nothing to check: {ast.unparse(stmt)}")
+        checked += 1
+    assert checked == 4

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import types
@@ -74,13 +75,6 @@ def test_value_diff(capsys):
     code, out, _ = main_out(capsys, "value", "diff", "2")
     assert code == 0
     assert out == "8\n"
-
-
-def test_value_xi_zero_is_domain_error(capsys):
-    code, out, err = main_out(capsys, "value", "xi", "0")
-    assert code == 2
-    assert out == ""
-    assert "xi(0)" in err and "undefined" in err
 
 
 def test_value_unknown_quantity_usage_error(capsys):
@@ -271,37 +265,6 @@ def test_verify_1_to_50_all_pass(capsys):
     assert len(lines) == 51  # 50 records + summary
     assert sum(line.endswith(" PASS") for line in lines) == 50
     assert lines[-1] == "verify [1,50]: 50/50 passed"
-
-
-def test_verify_invalid_range(capsys):
-    code, _, err = main_out(capsys, "verify", "--from", "5", "--to", "3")
-    assert code == 2
-    assert "invalid range" in err
-
-
-def test_verify_negative_brute_cutoff(capsys):
-    code, out, err = main_out(
-        capsys, "verify", "--from", "1", "--to", "2", "--brute-cutoff", "-1"
-    )
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and "cutoff must be >= 0" in err
-
-
-def test_verify_unknown_route(capsys):
-    code, _, err = main_out(
-        capsys, "verify", "--from", "1", "--to", "2", "--routes", "closed,psychic"
-    )
-    assert code == 2
-    assert "unknown routes" in err
-
-
-@pytest.mark.parametrize("routes", ["", ","])
-def test_verify_requires_a_route(capsys, routes):
-    code, out, err = main_out(capsys, "verify", "--from", "1", "--to", "2", "--routes", routes)
-    assert code == 2
-    assert out == ""
-    assert err == "error: at least one route is required\n"
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):
@@ -559,13 +522,6 @@ def test_series_json_rows(capsys):
     }
 
 
-def test_series_bad_arguments(capsys):
-    assert cli.main(["series", "tree", "--order", "-1"]) == 2
-    capsys.readouterr()
-    assert cli.main(["series", "geom", "--order", "3", "--d", "0"]) == 2
-    capsys.readouterr()
-
-
 def test_series_bad_d_rejected_before_the_tree(monkeypatch, capsys):
     # at order 700 the tree alone takes seconds; a bad d must not wait for it
     def boom(order):
@@ -652,22 +608,57 @@ def test_bench_notes_brute_route_admitted_nothing(monkeypatch, capsys):
     ]
 
 
-def test_bench_zero_repetitions_rejected(capsys):
-    code, _, err = main_out(capsys, "bench", "--repetitions", "0")
-    assert code == 2
-    assert "repetitions" in err
+# --- domain errors: exit 2, nothing on stdout, one line on stderr -----------
 
 
-def test_bench_bad_n_max(capsys):
-    code, _, _ = main_out(capsys, "bench", "--n-max", "0", "--repetitions", "1")
-    assert code == 2
+DOMAIN_ERRORS = [
+    pytest.param(
+        "value xi 0", "xi(0) is undefined; n >= 1 required (division by n^n)", id="value-xi-0"
+    ),
+    pytest.param("value s_d 5 --d 0", "d must be >= 1, got 0", id="value-s_d-d0"),
+    pytest.param("value alpha -1", "n must be >= 0, got -1", id="value-alpha-neg"),
+    pytest.param(
+        "verify --from 5 --to 3", "invalid range [5, 3]; need 1 <= from <= to", id="verify-range"
+    ),
+    pytest.param(
+        "verify --from 1 --to 2 --brute-cutoff -1",
+        "cutoff must be >= 0, got -1",
+        id="verify-cutoff-neg",
+    ),
+    pytest.param(
+        "verify --from 1 --to 2 --routes closed,psychic",
+        "unknown routes ['psychic']; valid routes are ('closed', 'brute', 'series')",
+        id="verify-unknown-route",
+    ),
+    pytest.param(
+        "verify --from 1 --to 2 --routes ''",
+        "at least one route is required",
+        id="verify-routes-empty",
+    ),
+    pytest.param(
+        "verify --from 1 --to 2 --routes ,",
+        "at least one route is required",
+        id="verify-routes-comma",
+    ),
+    pytest.param("verify --from 1 --to 2 --jobs 0", "jobs must be >= 1, got 0", id="verify-jobs0"),
+    pytest.param("series tree --order -1", "order must be >= 0, got -1", id="series-order-neg"),
+    pytest.param(
+        "series geom --order 3 --d 0", "geom_power requires d >= 1, got 0", id="series-geom-d0"
+    ),
+    pytest.param(
+        "bench --repetitions 0", "repetitions must be >= 1, got 0", id="bench-repetitions0"
+    ),
+    pytest.param(
+        "bench --n-max 0 --repetitions 1", "n-max must be >= 1, got 0", id="bench-n-max0"
+    ),
+    pytest.param("bench --n-max 3 --d 0", "d must be >= 1, got 0", id="bench-d0"),
+    pytest.param("bench --n-max 3 --d -3", "d must be >= 1, got -3", id="bench-d-neg"),
+]
 
 
-def test_bench_bad_d(capsys):
-    for d in ("0", "-3"):
-        code, _, err = main_out(capsys, "bench", "--n-max", "3", "--d", d)
-        assert code == 2
-        assert err.startswith("error:")
+@pytest.mark.parametrize("command, message", DOMAIN_ERRORS)
+def test_domain_error(capsys, command, message):
+    assert main_out(capsys, *shlex.split(command)) == (2, "", f"error: {message}\n")
 
 
 # --- exact output text, stdout and stderr in the order written --------------

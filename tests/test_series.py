@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from lacasse import kernels
 from lacasse.exact import DomainError
-from lacasse.series import ConsistencyError, egf_coeff, geom_power, tree_series
+from lacasse.series import ConsistencyError, geom_power, tree_series
 from oracles import (
     add,
     exp_power_sum,
@@ -40,12 +40,10 @@ def test_constructor_rejects_negative_order_and_empty():
 
 
 def test_indexing_bounds():
+    # a series of order N has entries 0..N, so entry N is the last
     s = tree_series(2)
-    assert egf_coeff(s, 2) == 2
-    with pytest.raises(IndexError, match=r"^coefficient index 3 beyond truncation order 2$"):
-        egf_coeff(s, 3)
-    with pytest.raises(IndexError, match=r"^coefficient index -1 beyond truncation order 2$"):
-        egf_coeff(s, -1)
+    assert len(s) == 3
+    assert s[2] == 2
 
 
 # --- the rational oracle arithmetic the checks below lean on --------------
@@ -143,7 +141,7 @@ def test_tree_series_satisfies_functional_equation():
 def test_tree_series_coefficients_are_cayley_counts():
     y = tree_series(30)
     for n in range(1, 31):
-        assert egf_coeff(y, n) == n ** (n - 1)
+        assert y[n] == n ** (n - 1)
 
 
 def test_tree_series_consistency_guard(monkeypatch):
@@ -255,23 +253,17 @@ def test_geom_power_validation():
         geom_power((1, 1), 2)
 
 
-# --- egf_coeff ------------------------------------------------------------
+# --- entries of a series: n! [z^n] ----------------------------------------
 
 
-def test_egf_coeff_examples():
+def test_geom_power_entry_examples():
     t = tree_series(3)
-    assert egf_coeff(geom_power(t, 2), 2) == 10  # alpha(2)
-    assert egf_coeff(geom_power(t, 1), 3) == 27  # 3^3
-    assert egf_coeff((7, 1), 0) == 7
+    assert geom_power(t, 2)[2] == 10  # alpha(2)
+    assert geom_power(t, 1)[3] == 27  # 3^3
 
 
-def test_egf_coeff_beyond_order():
-    with pytest.raises(IndexError):
-        egf_coeff(tree_series(3), 4)
-
-
-def test_egf_coeff_scales_by_factorial():
+def test_geom_power_entries_scale_by_factorial():
     s = geom_power(tree_series(8), 3)
     coeffs = _geom_sum_oracle(to_fractions(tree_series(8)), 3)
     for n in range(9):
-        assert egf_coeff(s, n) == factorial(n) * coeffs[n]
+        assert s[n] == factorial(n) * coeffs[n]
