@@ -1,3 +1,11 @@
+"""The CLI beyond its output bytes, which golden.json pins (test_golden.py).
+
+Here: full digits past the int-to-str limit, against values the test
+computes; every domain error's message; faults injected into the real
+kernels; the parser reused across calls; the order of stdout and stderr;
+and runs in real processes.
+"""
+
 import argparse
 import contextlib
 import csv
@@ -5,7 +13,6 @@ import functools
 import io
 import json
 import os
-import re
 import shlex
 import subprocess
 import sys
@@ -45,36 +52,6 @@ def main_out(capsys, *args: str) -> tuple[int, str, str]:
 
 
 # --- value ------------------------------------------------------------------
-
-
-def test_value_alpha_plain(capsys):
-    code, out, _ = main_out(capsys, "value", "alpha", "2")
-    assert code == 0
-    assert out == "10\n"
-
-
-def test_value_q_rational(capsys):
-    code, out, _ = main_out(capsys, "value", "q", "2")
-    assert code == 0
-    assert out == "3/2\n"
-
-
-def test_value_s_d_with_d(capsys):
-    code, out, _ = main_out(capsys, "value", "s_d", "2", "--d", "3")
-    assert code == 0
-    assert out == "18\n"
-
-
-def test_value_s_d_defaults_to_d2(capsys):
-    code, out, _ = main_out(capsys, "value", "s_d", "2")
-    assert code == 0
-    assert out == "10\n"
-
-
-def test_value_diff(capsys):
-    code, out, _ = main_out(capsys, "value", "diff", "2")
-    assert code == 0
-    assert out == "8\n"
 
 
 def test_value_unknown_quantity_usage_error(capsys):
@@ -140,20 +117,6 @@ def test_parser_built_once_for_many_calls(monkeypatch, fresh_parser):
     for args in calls:
         assert redirected_main(*args)[0] == 0
     assert built == ["lacasse"]
-
-
-def test_value_format_equivalence(capsys):
-    _, plain, _ = main_out(capsys, "value", "alpha", "7")
-    _, out_json, _ = main_out(capsys, "value", "alpha", "7", "--format", "json")
-    _, out_csv, _ = main_out(capsys, "value", "alpha", "7", "--format", "csv")
-    plain_value = plain.strip()
-    record = json.loads(out_json)
-    assert record["value"] == plain_value
-    assert record["n"] == 7 and record["quantity"] == "alpha"
-    rows = list(csv.reader(io.StringIO(out_csv)))
-    assert rows[0] == ["n", "quantity", "d", "value", "passed"]
-    assert rows[1][3] == plain_value
-    assert int(plain_value) == alpha_closed(7)
 
 
 # --- large n: full decimal output past the int-to-str digit limit ----------
@@ -231,33 +194,6 @@ def test_verify_large_n_full_digits(capsys, fmt):
 # --- verify -----------------------------------------------------------------
 
 
-def test_verify_json_record(capsys):
-    code, out, err = main_out(
-        capsys, "verify", "--from", "2", "--to", "2", "--format", "json"
-    )
-    assert code == 0
-    record = json.loads(out.strip())
-    assert record["n"] == 2
-    assert record["alpha"] == "10"
-    assert record["beta"] == "18"
-    assert record["value"] == "8"
-    assert record["expected"] == "8"
-    assert record["passed"] is True
-    assert record["routes"] == ["closed", "brute", "series"]
-    assert "1/1 passed" in err
-
-
-def test_verify_plain_pass_lines(capsys):
-    code, out, _ = main_out(capsys, "verify", "--from", "1", "--to", "3")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 4  # three records + summary
-    assert lines[0] == (
-        "n=1 alpha=2 beta=3 diff=1 expected=1 routes=closed,brute,series PASS"
-    )
-    assert lines[-1] == "verify [1,3]: 3/3 passed"
-
-
 def test_verify_1_to_50_all_pass(capsys):
     code, out, _ = main_out(capsys, "verify", "--from", "1", "--to", "50")
     assert code == 0
@@ -286,6 +222,37 @@ def test_verify_route_disagreement_exit_code(monkeypatch, capsys):
     code, _, err = main_out(capsys, "verify", "--from", "3", "--to", "3")
     assert code == 1
     assert "verification failure" in err
+
+
+# --- domain errors: exit 2, one line on stderr, nothing on stdout ------------
+
+DOMAIN_ERRORS = {
+    "value-xi-0": ("value xi 0", "xi(0) is undefined; n >= 1 required (division by n^n)"),
+    "value-s_d-d0": ("value s_d 5 --d 0", "d must be >= 1, got 0"),
+    "value-alpha-neg": ("value alpha -1", "n must be >= 0, got -1"),
+    "verify-range": ("verify --from 5 --to 3", "invalid range [5, 3]; need 1 <= from <= to"),
+    "verify-cutoff-neg": (
+        "verify --from 1 --to 2 --brute-cutoff -1", "cutoff must be >= 0, got -1"
+    ),
+    "verify-unknown-route": (
+        "verify --from 1 --to 2 --routes closed,psychic",
+        "unknown routes ['psychic']; valid routes are ('closed', 'brute', 'series')",
+    ),
+    "verify-routes-empty": ("verify --from 1 --to 2 --routes ''", "at least one route is required"),
+    "verify-routes-comma": ("verify --from 1 --to 2 --routes ,", "at least one route is required"),
+    "verify-jobs0": ("verify --from 1 --to 2 --jobs 0", "jobs must be >= 1, got 0"),
+    "series-order-neg": ("series tree --order -1", "order must be >= 0, got -1"),
+    "series-geom-d0": ("series geom --order 3 --d 0", "geom_power requires d >= 1, got 0"),
+    "bench-repetitions0": ("bench --repetitions 0", "repetitions must be >= 1, got 0"),
+    "bench-n-max0": ("bench --n-max 0 --repetitions 1", "n-max must be >= 1, got 0"),
+    "bench-d0": ("bench --n-max 3 --d 0", "d must be >= 1, got 0"),
+    "bench-d-neg": ("bench --n-max 3 --d -3", "d must be >= 1, got -3"),
+}
+
+
+@pytest.mark.parametrize("command, message", DOMAIN_ERRORS.values(), ids=DOMAIN_ERRORS)
+def test_domain_error(capsys, command, message):
+    assert main_out(capsys, *shlex.split(command)) == (2, "", f"error: {message}\n")
 
 
 # --- verification failures injected into the real kernels -------------------
@@ -471,55 +438,7 @@ def test_entry_point_exits_70_on_internal_fault(monkeypatch, capsys):
     assert "Traceback" in err and "RuntimeError: internal fault" in err
 
 
-def test_verify_csv_format(capsys):
-    code, out, _ = main_out(
-        capsys, "verify", "--from", "2", "--to", "3", "--format", "csv"
-    )
-    assert code == 0
-    rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0] == ["n", "quantity", "d", "value", "passed"]
-    assert rows[1] == ["2", "diff", "", "8", "true"]
-    assert rows[2] == ["3", "diff", "", "81", "true"]
-
-
 # --- series -----------------------------------------------------------------
-
-
-def test_series_tree_table(capsys):
-    code, out, _ = main_out(capsys, "series", "tree", "--order", "4")
-    assert code == 0
-    assert out.splitlines() == ["0 0 0", "1 1 1", "2 1 2", "3 3/2 9", "4 8/3 64"]
-
-
-def test_series_geom_d1_egf_column(capsys):
-    code, out, _ = main_out(capsys, "series", "geom", "--order", "3", "--d", "1")
-    assert code == 0
-    egf = [line.split()[2] for line in out.splitlines()]
-    assert egf == ["1", "1", "4", "27"]
-
-
-def test_series_geom_d2_egf_column(capsys):
-    code, out, _ = main_out(capsys, "series", "geom", "--order", "2", "--d", "2")
-    assert code == 0
-    egf = [line.split()[2] for line in out.splitlines()]
-    assert egf == ["1", "2", "10"]
-
-
-def test_series_json_rows(capsys):
-    code, out, _ = main_out(
-        capsys, "series", "tree", "--order", "3", "--format", "json"
-    )
-    assert code == 0
-    rows = [json.loads(line) for line in out.splitlines()]
-    assert rows[3] == {
-        "n": 3,
-        "quantity": "tree",
-        "d": None,
-        "value": "3/2",
-        "passed": None,
-        "routes": None,
-        "egf": "9",
-    }
 
 
 def test_series_bad_d_rejected_before_the_tree(monkeypatch, capsys):
@@ -535,54 +454,6 @@ def test_series_bad_d_rejected_before_the_tree(monkeypatch, capsys):
 
 
 # --- bench ------------------------------------------------------------------
-
-
-def test_bench_smoke(capsys):
-    code, out, _ = main_out(
-        capsys, "bench", "--n-max", "6", "--d", "3", "--repetitions", "1"
-    )
-    assert code == 0
-    assert "values agree across routes: yes" in out
-    for route in ("closed", "series", "brute"):
-        assert route in out
-
-
-def test_bench_json(capsys):
-    code, out, _ = main_out(
-        capsys, "bench", "--n-max", "4", "--repetitions", "1", "--format", "json"
-    )
-    assert code == 0
-    rows = [json.loads(line) for line in out.splitlines()]
-    assert rows[-1] == {"values_agree": True}
-    assert {r["route"] for r in rows[:-1]} == {"closed", "series", "brute"}
-    for r in rows[:-1]:
-        assert set(r) == {"route", "median_seconds", "n_max", "d", "repetitions"}
-
-
-def test_bench_csv_reports_agreement_on_stderr(capsys):
-    code, out, err = main_out(
-        capsys, "bench", "--n-max", "4", "--repetitions", "1", "--format", "csv"
-    )
-    assert code == 0
-    rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0] == ["route", "median_seconds"]
-    assert [r[0] for r in rows[1:]] == ["closed", "series", "brute"]
-    assert err == "values agree across routes: yes\n"
-
-
-def test_bench_single_row_range(capsys):
-    code, out, _ = main_out(capsys, "bench", "--n-max", "1", "--repetitions", "1")
-    assert code == 0
-    assert "values agree across routes: yes" in out
-
-
-def test_bench_d1_routes_agree(capsys):
-    # at d = 1 the sweep is its first round alone, s_1(n) = n^n
-    code, out, _ = main_out(
-        capsys, "bench", "--n-max", "8", "--d", "1", "--repetitions", "1"
-    )
-    assert code == 0
-    assert "values agree across routes: yes" in out
 
 
 def test_bench_reports_disagreement(monkeypatch, capsys):
@@ -608,60 +479,7 @@ def test_bench_notes_brute_route_admitted_nothing(monkeypatch, capsys):
     ]
 
 
-# --- domain errors: exit 2, nothing on stdout, one line on stderr -----------
-
-
-DOMAIN_ERRORS = [
-    pytest.param(
-        "value xi 0", "xi(0) is undefined; n >= 1 required (division by n^n)", id="value-xi-0"
-    ),
-    pytest.param("value s_d 5 --d 0", "d must be >= 1, got 0", id="value-s_d-d0"),
-    pytest.param("value alpha -1", "n must be >= 0, got -1", id="value-alpha-neg"),
-    pytest.param(
-        "verify --from 5 --to 3", "invalid range [5, 3]; need 1 <= from <= to", id="verify-range"
-    ),
-    pytest.param(
-        "verify --from 1 --to 2 --brute-cutoff -1",
-        "cutoff must be >= 0, got -1",
-        id="verify-cutoff-neg",
-    ),
-    pytest.param(
-        "verify --from 1 --to 2 --routes closed,psychic",
-        "unknown routes ['psychic']; valid routes are ('closed', 'brute', 'series')",
-        id="verify-unknown-route",
-    ),
-    pytest.param(
-        "verify --from 1 --to 2 --routes ''",
-        "at least one route is required",
-        id="verify-routes-empty",
-    ),
-    pytest.param(
-        "verify --from 1 --to 2 --routes ,",
-        "at least one route is required",
-        id="verify-routes-comma",
-    ),
-    pytest.param("verify --from 1 --to 2 --jobs 0", "jobs must be >= 1, got 0", id="verify-jobs0"),
-    pytest.param("series tree --order -1", "order must be >= 0, got -1", id="series-order-neg"),
-    pytest.param(
-        "series geom --order 3 --d 0", "geom_power requires d >= 1, got 0", id="series-geom-d0"
-    ),
-    pytest.param(
-        "bench --repetitions 0", "repetitions must be >= 1, got 0", id="bench-repetitions0"
-    ),
-    pytest.param(
-        "bench --n-max 0 --repetitions 1", "n-max must be >= 1, got 0", id="bench-n-max0"
-    ),
-    pytest.param("bench --n-max 3 --d 0", "d must be >= 1, got 0", id="bench-d0"),
-    pytest.param("bench --n-max 3 --d -3", "d must be >= 1, got -3", id="bench-d-neg"),
-]
-
-
-@pytest.mark.parametrize("command, message", DOMAIN_ERRORS)
-def test_domain_error(capsys, command, message):
-    assert main_out(capsys, *shlex.split(command)) == (2, "", f"error: {message}\n")
-
-
-# --- exact output text, stdout and stderr in the order written --------------
+# --- stdout and stderr in the order written ----------------------------------
 
 
 def interleaved_main(*args: str) -> tuple[int, str]:
@@ -672,78 +490,20 @@ def interleaved_main(*args: str) -> tuple[int, str]:
     return code, both.getvalue()
 
 
-def test_series_csv_text():
-    assert interleaved_main("series", "tree", "--order", "3", "--format", "csv") == (
-        0,
-        "n,quantity,d,value,passed\n"
-        '"0","tree","","0",""\n'
-        '"1","tree","","1",""\n'
-        '"2","tree","","1",""\n'
-        '"3","tree","","3/2",""\n',
-    )
-    assert interleaved_main("series", "geom", "--order", "2", "--d", "2", "--format", "csv") == (
-        0,
-        "n,quantity,d,value,passed\n"
-        '"0","geom","2","1",""\n'
-        '"1","geom","2","2",""\n'
-        '"2","geom","2","5",""\n',
-    )
-
-
-def test_json_lines_text():
-    assert interleaved_main("series", "tree", "--order", "1", "--format", "json") == (
-        0,
-        '{"n": 0, "quantity": "tree", "d": null, "value": "0", "passed": null, '
-        '"routes": null, "egf": "0"}\n'
-        '{"n": 1, "quantity": "tree", "d": null, "value": "1", "passed": null, '
-        '"routes": null, "egf": "1"}\n',
-    )
-    assert interleaved_main("verify", "--from", "2", "--to", "3", "--format", "json") == (
-        0,
-        '{"n": 2, "quantity": "diff", "d": null, "value": "8", "passed": true, '
-        '"routes": ["closed", "brute", "series"], "alpha": "10", "beta": "18", '
-        '"expected": "8"}\n'
-        '{"n": 3, "quantity": "diff", "d": null, "value": "81", "passed": true, '
-        '"routes": ["closed", "brute", "series"], "alpha": "78", "beta": "159", '
-        '"expected": "81"}\n'
-        "verify [2,3]: 2/2 passed\n",
-    )
-    assert interleaved_main("value", "s_d", "5", "--d", "3", "--format", "json") == (
-        0,
-        '{"n": 5, "quantity": "s_d", "d": 3, "value": "26595", "passed": null, '
-        '"routes": null}\n',
-    )
-    assert interleaved_main("value", "q", "3", "--format", "json") == (
-        0,
-        '{"n": 3, "quantity": "q", "d": null, "value": "17/9", "passed": null, '
-        '"routes": null}\n',
-    )
-
-
-def test_bench_json_and_csv_text():
-    args = ("bench", "--n-max", "4", "--d", "3", "--repetitions", "1")
-    code, text = interleaved_main(*args, "--format", "json")
+@pytest.mark.parametrize(
+    "command, rows, last",
+    [
+        ("verify --from 2 --to 3 --format json", 2, "verify [2,3]: 2/2 passed"),
+        ("bench --n-max 4 --repetitions 1 --format csv", 4, "values agree across routes: yes"),
+    ],
+    ids=["verify-summary", "bench-verdict"],
+)
+def test_stderr_follows_the_rows(command, rows, last):
+    # the golden corpus pins each stream apart, and these stdouts as `rows`
+    # lines; here the one stderr line must come after all of them
+    code, text = interleaved_main(*shlex.split(command))
     assert code == 0
-    lines = text.splitlines()
-    assert len(lines) == 4
-    for route, line in zip(("closed", "series", "brute"), lines):
-        row = json.loads(line)
-        assert list(row) == ["route", "median_seconds", "n_max", "d", "repetitions"]
-        assert isinstance(row["median_seconds"], float)
-        row["median_seconds"] = 0.5
-        assert json.dumps(row) == (
-            f'{{"route": "{route}", "median_seconds": 0.5, "n_max": 4, "d": 3, '
-            '"repetitions": 1}'
-        )
-    assert lines[3] == '{"values_agree": true}'
-
-    code, text = interleaved_main(*args, "--format", "csv")
-    assert code == 0
-    assert re.fullmatch(
-        r'route,median_seconds\n"closed","\d+\.\d{6}"\n"series","\d+\.\d{6}"\n'
-        r'"brute","\d+\.\d{6}"\nvalues agree across routes: yes\n',
-        text,
-    )
+    assert text.splitlines()[rows:] == [last]
 
 
 # --- subprocess end-to-end ---------------------------------------------------

@@ -1,6 +1,7 @@
 import concurrent.futures
 import multiprocessing
 import pickle
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -121,17 +122,6 @@ BLOCK_EDGES = [0, 1, 63, 64, 65, 127, 128, 129, 300, 700]
 def test_s_d_closed_matches_formula_across_blocks(n):
     for d in range(1, 7):
         assert s_d_closed(n, d) == s_d_formula(n, d)
-
-
-def test_s_d_routes_agree_small_grid():
-    for d in range(1, 6):
-        t = tree_series(15)
-        s = geom_power(t, d)
-        brute = comp_power_sum(0, 15, d)[-1]
-        for n in range(16):
-            closed = s_d_closed(n, d)
-            assert closed == brute[n]
-            assert closed == s[n]
 
 
 def test_s_d_strictly_increasing_in_d():
@@ -383,6 +373,78 @@ def test_verify_detects_series_fault(monkeypatch):
         verify_lacasse(3)
     assert set(exc.value.routes) == {"closed", "series"}
     assert exc.value.n == 3
+
+
+# --- route independence ---------------------------------------------------
+# An oracle must not become the thing it checks: each route's table is built
+# from code no other route runs, and a fault in one route's kernel shows in
+# that route's table alone.
+
+ROUTE_REACH = {
+    "closed": {"identity.s_d_closed", "identity._falling_sum", "identity.block"},
+    "brute": {"identity.brute_force_admitted", "kernels.comp_power_sum"},
+    "series": {
+        "series.tree_series", "series.geom_power", "kernels.tree_egf", "kernels.egf_geom_power",
+    },
+}
+
+
+def _reached(route: str) -> set[str]:
+    """The lacasse functions route_table(route, 1, 60, (2, 3)) calls, as module.co_name."""
+    reached = set()
+
+    def profile(frame, event, arg):
+        module, name = frame.f_globals.get("__name__", ""), frame.f_code.co_name
+        # comprehensions get no frame of their own from Python 3.12 (PEP 709)
+        if event == "call" and module.startswith("lacasse.") and not name.startswith("<"):
+            reached.add(f"{module.removeprefix('lacasse.')}.{name}")
+
+    old = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        identity.route_table(route, 1, 60, (2, 3))
+    finally:
+        sys.setprofile(old)
+    return reached - {"identity.route_table"}
+
+
+def test_routes_reach_disjoint_code():
+    assert {route: _reached(route) for route in ROUTE_REACH} == ROUTE_REACH
+    closed, brute, series = ROUTE_REACH.values()
+    assert not (closed & brute or closed & series or brute & series)
+
+
+def _one_too_large(real):
+    # one value one too large: an int result, or the last entry of a list
+    # result (of its last row, when it is a list of rows)
+    def broken(*args):
+        out = real(*args)
+        if isinstance(out, int):
+            return out + 1
+        row = out[-1] if isinstance(out[-1], list) else out
+        row[-1] += 1
+        return out
+
+    return broken
+
+
+@pytest.mark.parametrize(
+    "route, module, name",
+    [
+        ("closed", identity, "_falling_sum"),
+        ("brute", kernels, "comp_power_sum"),
+        ("series", kernels, "egf_geom_power"),
+    ],
+    ids=["closed", "brute", "series"],
+)
+def test_route_fault_changes_only_its_route(monkeypatch, route, module, name):
+    def tables():
+        return {r: identity.route_table(r, 1, 60, (2, 3)) for r in ROUTE_REACH}
+
+    clean = tables()
+    monkeypatch.setattr(module, name, _one_too_large(getattr(module, name)))
+    broken = tables()
+    assert [r for r in ROUTE_REACH if broken[r] != clean[r]] == [route]
 
 
 def test_route_disagreement_message_past_digit_limit():

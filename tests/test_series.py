@@ -133,17 +133,6 @@ def test_tree_series_rejects_negative_order():
         tree_series(-1)
 
 
-def test_tree_series_satisfies_functional_equation():
-    y = to_fractions(tree_series(60))
-    assert mul(z(60), exp_trunc(y)) == y
-
-
-def test_tree_series_coefficients_are_cayley_counts():
-    y = tree_series(30)
-    for n in range(1, 31):
-        assert y[n] == n ** (n - 1)
-
-
 def test_tree_series_consistency_guard(monkeypatch):
     real = kernels.tree_egf
 
