@@ -263,8 +263,10 @@ def route_table(
 ) -> dict[int, list[int]]:
     """{n: [s_d(n) for d in ds]} for each n in [first, last] that ``route`` admits.
 
-    ``closed`` evaluates ``s_d_closed`` per n and ``series`` reads one
-    ``geom_power`` per d off one ``tree_series(last)``; both admit every n.
+    ``closed`` evaluates ``s_d_closed`` per n.  ``series`` reads the powers
+    (1/(1 - y))^d off one ``tree_series(last)``, taking d and d - 1 from
+    one ``egf_geom_power`` pass when ``ds`` holds both (``verify``'s alpha
+    and beta) and any other d from a pass of its own; both admit every n.
     ``brute`` reads rounds ``ds`` off one ``comp_power_sum`` sweep at
     ``max(ds)`` over the n whose enumeration stays within ``cutoff``
     (admission only ever drops n from the top, so they are a prefix).
@@ -275,8 +277,11 @@ def route_table(
         return {n: [s_d_closed(n, d) for d in ds] for n in window}
     if route == "series":
         t = _series.tree_series(last)
-        powers = [_series.geom_power(t, d) for d in ds]
-        return {n: [p[n] for p in powers] for n in window}
+        powers = {}
+        for d in sorted(set(ds), reverse=True):
+            if d not in powers:
+                powers.update(zip((d, d - 1), kernels.egf_geom_power(t, d, lower=d - 1 in ds)))
+        return {n: [powers[d][n] for d in ds] for n in window}
     if route != "brute":
         raise DomainError(f"unknown route {route!r}; valid routes are {ALL_ROUTES}")
     top = max(ds)

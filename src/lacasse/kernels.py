@@ -12,6 +12,8 @@ the powers of 1/(1 - y)) those entries are integers, and each kernel is one
 recurrence of binomial convolutions whose weights come from one Pascal
 row, advanced by addition from step to step, so it never leaves the
 integers, never divides, never touches a gcd and holds no Pascal table.
+``egf_geom_power`` returns a list of rows, like ``comp_power_sum``: P_d,
+and on request P_(d-1) from the same pass's products.
 
 ``comp_power_sum``, the brute-force route, is built the same way but from
 the definition alone: it sums over weak compositions, seeded with k^k, and
@@ -24,28 +26,57 @@ from __future__ import annotations
 from operator import add, mul
 
 
-def egf_geom_power(y: list, d: int) -> list:
-    """(1/(1 - y))^d.  Needs a nonempty y with y[0] == 0, and d >= 1; the
-    caller checks.
+def egf_geom_power(y: list, d: int, lower: bool = False) -> list:
+    """[P_d], or [P_d, P_(d-1)] when ``lower``, with P_e = (1/(1 - y))^e.
+    Needs a nonempty y with y[0] == 0, and d >= 1; the caller checks.
 
-    P = (1 - y)^(-d) satisfies P'(1 - y) = d y' P, and the coefficient of
-    z^(m-1) on both sides gives
-    P[m] = sum_{k=1..m} (C(m-1, k) + d C(m-1, k-1)) y[k] P[m-k]
+    P = P_d satisfies P'(1 - y) = d y' P, and the coefficient of z^(m-1)
+    on both sides gives, with v_k = y[k] P[m-k],
+    P[m] = sum_{k=1..m} (C(m-1, k) + d C(m-1, k-1)) v_k = A_m + d B_m
     from P[0] = 1: one division-free O(N^2) pass for any d, with no
     reciprocal and no chain of products (J.C.P. Miller's power recurrence,
-    Knuth, TAOCP vol. 2, 4.7).
+    Knuth, TAOCP vol. 2, 4.7).  The weights C(m-1, k) + d C(m-1, k-1) obey
+    Pascal's rule themselves, so P_d alone carries them as its row.
+
+    The same products give the next power down.  (1 - y) P_d = P_(d-1), so
+    P_(d-1)' = (d-1) y' P_d, whose coefficient of z^(m-1) is
+    P_(d-1)[m] = (d-1) B_m (P_0 = [1, 0, ...] at d = 1).  That is series
+    algebra, not the Lacasse identity, so the lower row is a route to
+    alpha as independent as its own pass would be.  The pair carries row
+    m - 1 of Pascal's triangle, and since C(m-1, j) = C(m-1, m-1-j), each of
+    A_m = sum_j C(m-1, j) v_j and B_m = sum_j C(m-1, j) v_(j+1) adds its
+    terms j and m-1-j first and takes one product per pair.  So step m makes
+    the m products v_k once for both rows, and two half-length weighted
+    sums: about the cost of P_d alone, where two passes cost twice that.
+    P_d alone takes its one weighted sum whole, as the fold would save no
+    product there and add an addition per term.
     """
     n = len(y) - 1
-    p = [1]
-    row = [1]  # row m - 1 of Pascal's triangle at step m
+    top, low = [1], [1]
+    # the weights at step m: row m - 1 of Pascal's triangle for the pair,
+    # C(m-1, k) + d C(m-1, k-1) for k = 0..m for P_d alone
+    row = [1] if lower else [1, d]
     for m in range(1, n + 1):
         if m > 1:
-            row = [1, *map(add, row, row[1:]), 1]
-        acc = d * y[m]  # k = m: C(m-1, m) = 0, C(m-1, m-1) = 1, P[0] = 1
-        for k in range(1, m):
-            acc += (row[k] + d * row[k - 1]) * y[k] * p[m - k]
-        p.append(acc)
-    return p
+            row = [row[0], *map(add, row, row[1:]), row[-1]]
+        v = [0, *map(mul, y[1 : m + 1], reversed(top))]  # v_k for k = 0..m; v_0 = 0
+        if lower:
+            b = _palindrome_dot(row, v[1:])  # sum_k C(m-1, k-1) v_k
+            top.append(_palindrome_dot(row, v[:m]) + d * b)
+            low.append((d - 1) * b)
+        else:
+            top.append(sum(map(mul, row, v)))
+    return [top, low] if lower else [top]
+
+
+def _palindrome_dot(row: list, x: list) -> int:
+    """sum_j row[j] x[j] for a row with row[j] == row[-1-j]: the terms j and
+    len(row) - 1 - j share a weight, so each pair takes one product."""
+    h = len(row) // 2
+    s = sum(map(mul, row, map(add, x[:h], x[: -h - 1 : -1])))
+    if len(row) % 2:
+        s += row[h] * x[h]
+    return s
 
 
 def tree_egf(order: int) -> list:

@@ -63,4 +63,4 @@ def geom_power(y: Sequence[int], d: int) -> tuple[int, ...]:
         raise DomainError(f"geom_power requires d >= 1, got {d}")
     if not y or y[0] != 0:
         raise DomainError("geom_power requires a zero constant term")
-    return tuple(kernels.egf_geom_power(y, d))
+    return tuple(kernels.egf_geom_power(y, d)[0])

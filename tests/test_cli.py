@@ -267,6 +267,19 @@ def _off_by_one_at(fn, index):
     return broken
 
 
+def _power_off_by_one_at(index, rows=slice(None)):
+    # egf_geom_power with entry index of the chosen rows one too large
+    real = kernels.egf_geom_power
+
+    def broken(*args, **kwargs):
+        out = real(*args, **kwargs)
+        for row in out[rows]:
+            row[index] += 1
+        return out
+
+    return broken
+
+
 def _sweep_off_by_one_at(n, round_index):
     # comp_power_sum with one entry of one round, at n, one too large
     real = kernels.comp_power_sum
@@ -323,10 +336,22 @@ def test_verify_brute_cutoff_boundary(monkeypatch, capsys):
 
 
 def test_verify_series_fault_names_route(monkeypatch, capsys):
-    monkeypatch.setattr(kernels, "egf_geom_power", _off_by_one_at(kernels.egf_geom_power, 4))
+    monkeypatch.setattr(kernels, "egf_geom_power", _power_off_by_one_at(4))
     code, _, err = main_out(capsys, "verify", "--from", "1", "--to", "8")
     assert code == 1
     assert "'series'" in err and "alpha(4)" in err
+
+
+@pytest.mark.parametrize(
+    "rows, quantity", [(slice(1, 2), "alpha"), (slice(0, 1), "beta")], ids=["lower", "top"]
+)
+def test_verify_series_row_fault_names_quantity(monkeypatch, capsys, rows, quantity):
+    # verify's series alpha and beta are the lower and top rows of one pass
+    # at d = 3; a fault in either row alone shows as that quantity
+    monkeypatch.setattr(kernels, "egf_geom_power", _power_off_by_one_at(4, rows))
+    code, _, err = main_out(capsys, "verify", "--from", "1", "--to", "8")
+    assert code == 1
+    assert f"routes 'closed' and 'series' disagree on {quantity}(4)" in err
 
 
 def test_verify_tree_fault_is_consistency_failure(monkeypatch, capsys):

@@ -329,6 +329,31 @@ def test_route_table_rejects_unknown_route():
         identity.route_table("psychic", 1, 3, (2,))
 
 
+def test_series_route_table_pairs_adjacent_powers(monkeypatch):
+    # d and d - 1 come from one pass, any other d from its own; the values
+    # are the closed route's whatever the pairing
+    calls = []
+    real = kernels.egf_geom_power
+
+    def spy(y, d, lower=False):
+        calls.append((d, lower))
+        return real(y, d, lower)
+
+    monkeypatch.setattr(kernels, "egf_geom_power", spy)
+    for ds, want in [
+        ((2, 3), [(3, True)]),
+        ((3,), [(3, False)]),
+        ((3, 2, 3), [(3, True)]),
+        ((2, 4), [(4, False), (2, False)]),
+        ((1, 2, 3, 4, 5), [(5, True), (3, True), (1, False)]),
+    ]:
+        calls.clear()
+        assert identity.route_table("series", 1, 12, ds) == identity.route_table(
+            "closed", 1, 12, ds
+        )
+        assert calls == want
+
+
 def test_verify_closed_only_route():
     report = verify_lacasse(12, routes=("closed",))
     assert report.routes_compared == ("closed",)
@@ -363,9 +388,10 @@ def test_verify_detects_identity_failure(monkeypatch):
 def test_verify_detects_series_fault(monkeypatch):
     real = kernels.egf_geom_power
 
-    def broken(y, d):
-        out = real(y, d)
-        out[3] += 1
+    def broken(y, d, lower=False):
+        out = real(y, d, lower)
+        for row in out:
+            row[3] += 1
         return out
 
     monkeypatch.setattr(kernels, "egf_geom_power", broken)
@@ -384,7 +410,8 @@ ROUTE_REACH = {
     "closed": {"identity.s_d_closed", "identity._falling_sum", "identity.block"},
     "brute": {"identity.brute_force_admitted", "kernels.comp_power_sum"},
     "series": {
-        "series.tree_series", "series.geom_power", "kernels.tree_egf", "kernels.egf_geom_power",
+        "series.tree_series", "kernels.tree_egf", "kernels.egf_geom_power",
+        "kernels._palindrome_dot",
     },
 }
 
@@ -417,8 +444,8 @@ def test_routes_reach_disjoint_code():
 def _one_too_large(real):
     # one value one too large: an int result, or the last entry of a list
     # result (of its last row, when it is a list of rows)
-    def broken(*args):
-        out = real(*args)
+    def broken(*args, **kwargs):
+        out = real(*args, **kwargs)
         if isinstance(out, int):
             return out + 1
         row = out[-1] if isinstance(out[-1], list) else out

@@ -43,13 +43,16 @@ def test_egf_exp_matches_power_sum_oracle(u):
 @given(u=int_vectors, d=st.integers(min_value=1, max_value=6))
 @settings(deadline=None)
 def test_egf_geom_power_matches_fraction_oracle(u, d):
-    # (1/(1 - u))^d as the Fraction reciprocal of 1 - u multiplied d times
+    # (1/(1 - u))^e as the Fraction reciprocal of 1 - u multiplied e times;
+    # the pair is [P_d, P_(d-1)], and P_0 = [1, 0, ...] at d = 1
     u = [0] + u[1:]
     inv = reciprocal_unit(add(one(len(u) - 1), [-c for c in to_fractions(u)]))
-    want = inv
-    for _ in range(d - 1):
-        want = mul(want, inv)
-    assert kernels.egf_geom_power(u, d) == to_egf(want)
+    powers = [one(len(u) - 1)]
+    for _ in range(d):
+        powers.append(mul(powers[-1], inv))
+    want = [to_egf(powers[d]), to_egf(powers[d - 1])]
+    assert kernels.egf_geom_power(u, d) == want[:1]
+    assert kernels.egf_geom_power(u, d, lower=True) == want
 
 
 @given(u=int_vectors)
@@ -58,18 +61,28 @@ def test_egf_geom_power_d1_times_one_minus_u_is_one(u):
     u = [0] + u[1:]
     one_minus_u = [1] + [-c for c in u[1:]]
     one = [1] + [0] * (len(u) - 1)
-    assert egf_mul(kernels.egf_geom_power(u, 1), one_minus_u) == one
+    assert egf_mul(kernels.egf_geom_power(u, 1)[0], one_minus_u) == one
 
 
 @given(u=int_vectors, d=st.integers(min_value=1, max_value=6))
 @settings(deadline=None)
 def test_egf_geom_power_matches_repeated_mul(u, d):
     u = [0] + u[1:]
-    inv = kernels.egf_geom_power(u, 1)
+    [inv] = kernels.egf_geom_power(u, 1)
     want = list(inv)
     for _ in range(d - 1):
         want = egf_mul(want, inv)
-    assert kernels.egf_geom_power(u, d) == want
+    assert kernels.egf_geom_power(u, d) == [want]
+
+
+def test_egf_geom_power_pair_is_two_passes_at_order_300():
+    # the pair's rows from one pass against a pass of their own each, on
+    # the tree, whose entries reach thousands of digits
+    y = kernels.tree_egf(300)
+    for d in (3, 7):
+        top, low = kernels.egf_geom_power(y, d, lower=True)
+        assert kernels.egf_geom_power(y, d) == [top]
+        assert kernels.egf_geom_power(y, d - 1) == [low]
 
 
 def test_tree_egf_small_values():
@@ -135,6 +148,7 @@ def test_kernels_leave_no_reference_cycles():
         gc.collect()
         kernels.comp_power_sum(0, 40, 4)
         kernels.egf_geom_power(kernels.tree_egf(40), 3)
+        kernels.egf_geom_power(kernels.tree_egf(40), 3, lower=True)
         assert gc.collect() == 0
     finally:
         gc.enable()
