@@ -8,16 +8,15 @@ Exit codes: 0 success, 1 verification failure (an arithmetic bug, the
 identity being a theorem), 2 usage or domain error, 70 (EX_SOFTWARE) an
 internal fault that escaped ``main``.  Exact values print as
 full decimal strings, rationals as p/q; never scientific notation.
+Only ``--format json`` loads ``json``, only ``--format csv`` loads ``csv``,
+and only a crash loads ``traceback``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 import time
-import traceback
 from fractions import Fraction
 from functools import cache, partial
 
@@ -57,9 +56,13 @@ def _emit(fmt: str, rows: list[dict], plain_lines: list[str], fields=CSV_FIELDS)
         for line in plain_lines:
             out.write(line + "\n")
     elif fmt == "json":
+        import json
+
         for row in rows:
             out.write(json.dumps(row) + "\n")
     else:
+        import csv
+
         out.write(",".join(fields) + "\n")
         writer = csv.writer(out, quoting=csv.QUOTE_ALL, lineterminator="\n")
         for row in rows:
@@ -183,6 +186,8 @@ def cmd_bench(args) -> int:
         plain_lines.append("note: brute-force route admitted no n at this cutoff")
     _emit(args.format, rows, plain_lines, fields=("route", "median_seconds"))
     if args.format == "json":
+        import json
+
         print(json.dumps({"values_agree": agree}))
     elif args.format == "csv":
         print(verdict, file=sys.stderr)  # stdout stays pure CSV, as in verify
@@ -264,6 +269,8 @@ def main_entry() -> None:
     try:
         code = main()
     except Exception:
+        import traceback  # only a crash prints one
+
         traceback.print_exc()
         code = EXIT_CRASH
     sys.exit(code)

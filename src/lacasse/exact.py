@@ -29,8 +29,9 @@ def exact_str(x: int | Fraction) -> str:
     """Full decimal digits of an int, or ``p/q`` of a Fraction, at any size.
 
     ``str(int)`` refuses ints longer than ``sys.get_int_max_str_digits()``
-    (4300 digits by default from Python 3.11 on); ``Decimal`` prints the
-    same digits with no such limit, and leaves the process-wide limit alone.
+    (4300 digits by default in Python 3.10.7 and later); ``Decimal`` prints
+    the same digits with no such limit, and leaves the process-wide limit
+    alone.
     The CLI's output and every failure message that quotes a value go
     through here.
     """

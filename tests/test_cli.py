@@ -7,6 +7,7 @@ and runs in real processes.
 """
 
 import argparse
+import ast
 import contextlib
 import csv
 import functools
@@ -562,39 +563,102 @@ def test_subprocess_verify_jobs_independence():
     assert base.stderr == twin.stderr
 
 
+# reads sys.modules before it imports anything itself, so every watched
+# module it reports was loaded by lacasse; run with -S, so no site hook
+# loads one first
 IMPORT_SET_CODE = """
-import json, os, sys
+import sys
 sys.path.insert(0, sys.argv[1])
 from lacasse import cli
-heavy = ("concurrent.futures", "multiprocessing", "dataclasses")
-codes = [
-    cli.main(["verify", "--from", "1", "--to", "5"]),
-    cli.main(["value", "alpha", "50"]),
-    cli.main(["verify", "--from", "1", "--to", "5", "--routes", "closed", "--jobs", "2"]),
-]
-loaded = [m for m in heavy if m in sys.modules]
-codes.append(cli.main(["verify", "--from", "1", "--to", "5", "--jobs", "2"]))
-print(json.dumps([codes, loaded, "concurrent.futures" in sys.modules, os.cpu_count()]))
+watched = ("json", "csv", "traceback", "concurrent.futures", "multiprocessing", "dataclasses")
+report = []
+for command in sys.argv[2:]:
+    code = cli.main(command.split())
+    report.append((code, [m for m in watched if m in sys.modules]))
+import os
+print(repr((report, os.cpu_count())))
 """
+
+
+def loaded_after(*commands: str) -> tuple[list[tuple[int, list[str]]], int | None]:
+    """Run ``commands`` in turn in one fresh process; after each, its exit
+    code and which watched modules are loaded, and the process's CPU count."""
+    src = str(Path(lacasse.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", IMPORT_SET_CODE, src, *commands],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
 
 
 def test_subprocess_loads_the_pool_only_for_jobs():
     # a count of loaded modules, not a timing: one-worker commands, and
     # --jobs 2 with one route table to build, never import the process
     # pool, and --jobs 2 over all routes still starts a real one
+    report, cpus = loaded_after(
+        "verify --from 1 --to 5",
+        "value alpha 50",
+        "verify --from 1 --to 5 --routes closed --jobs 2",
+        "verify --from 1 --to 5 --jobs 2",
+    )
+    assert [code for code, _ in report] == [0, 0, 0, 0]
+    heavy = {"concurrent.futures", "multiprocessing", "dataclasses"}
+    assert heavy.isdisjoint(report[2][1])
+    if (cpus or 1) > 1:
+        assert "concurrent.futures" in report[3][1]
+
+
+@pytest.mark.parametrize(
+    "commands, expected",
+    [
+        (("verify --from 1 --to 5", "value alpha 50", "series geom --order 4 --d 3"), set()),
+        (("value alpha 7 --format json",), {"json"}),
+        (("bench --n-max 4 --repetitions 1 --format json",), {"json"}),
+        (("value alpha 7 --format csv",), {"csv"}),
+        (("verify --from 1 --to 5 --format csv",), {"csv"}),
+    ],
+    ids=["plain", "value-json", "bench-json", "value-csv", "verify-csv"],
+)
+def test_subprocess_loads_json_csv_and_traceback_only_where_used(commands, expected):
+    # each writer is imported by the one format that writes with it, and
+    # traceback only by a crash
+    report, _ = loaded_after(*commands)
+    assert [code for code, _ in report] == [0] * len(commands)
+    assert {"json", "csv", "traceback"} & set(report[-1][1]) == expected
+
+
+CRASH_CODE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from lacasse import cli, kernels
+
+def boom(order):
+    raise RuntimeError("internal fault")
+
+kernels.tree_egf = boom
+print("traceback loaded before the crash:", "traceback" in sys.modules)
+sys.argv = ["lacasse", "series", "tree", "--order", "3"]
+cli.main_entry()
+"""
+
+
+def test_subprocess_crash_imports_traceback_and_exits_70():
+    # the in-process twin cannot see the import on the crash path: pytest
+    # has loaded traceback long before
     src = str(Path(lacasse.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", IMPORT_SET_CODE, src],
+        [sys.executable, "-S", "-c", CRASH_CODE, src],
         capture_output=True,
         text=True,
         timeout=300,
     )
-    assert proc.returncode == 0, proc.stderr
-    codes, loaded, pool_loaded, cpus = json.loads(proc.stdout.splitlines()[-1])
-    assert codes == [0, 0, 0, 0]
-    assert loaded == []
-    if (cpus or 1) > 1:
-        assert pool_loaded
+    assert proc.returncode == 70, proc.stderr
+    assert proc.stdout == "traceback loaded before the crash: False\n"
+    assert "Traceback" in proc.stderr
+    assert "RuntimeError: internal fault" in proc.stderr
 
 
 def test_subprocess_verify_plain_jobs_independence():
