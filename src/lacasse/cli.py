@@ -9,7 +9,11 @@ identity being a theorem), 2 usage or domain error, 70 (EX_SOFTWARE) an
 internal fault that escaped ``main``.  Exact values print as
 full decimal strings, rationals as p/q; never scientific notation.
 Only ``--format json`` loads ``json``, only ``--format csv`` loads ``csv``,
-and only a crash loads ``traceback``.
+and only a crash loads ``traceback``.  Ints print with ``str()`` within
+Python's int-to-str digit limit and through ``Decimal`` past it, so only
+such an int loads ``decimal``; a rational (``q``, ``xi``, ``xi2``,
+``series``) and ``bench``, through ``statistics``, load it with
+``fractions``.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from fractions import Fraction
 from functools import cache, partial
 
 from . import identity
@@ -124,6 +127,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_series(args) -> int:
+    from fractions import Fraction  # the only command that builds its own rationals
+
     order = args.order
     if args.which == "geom" and args.d < 1:  # before the tree, seconds at large order
         raise DomainError(f"geom_power requires d >= 1, got {args.d}")

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import os
 from collections import namedtuple
-from fractions import Fraction
 from functools import partial
 from itertools import accumulate
 from math import comb
@@ -168,18 +167,25 @@ def _falling_sum(n: int, weights: list[int], certify: bool = False) -> int:
     return block(0, len(weights))[0]
 
 
+def _fraction(p: int, q: int) -> Fraction:
+    """p/q in lowest terms; ``fractions`` loads on the first rational built."""
+    from fractions import Fraction
+
+    return Fraction(p, q)
+
+
 def xi(n: int) -> Fraction:
     """alpha(n) / n^n as an exact rational; undefined at n = 0."""
     if n < 1:
         raise DomainError(f"xi({n}) is undefined; n >= 1 required (division by n^n)")
-    return Fraction(alpha_closed(n), n**n)
+    return _fraction(alpha_closed(n), n**n)
 
 
 def xi2(n: int) -> Fraction:
     """beta(n) / n^n as an exact rational; undefined at n = 0."""
     if n < 1:
         raise DomainError(f"xi2({n}) is undefined; n >= 1 required (division by n^n)")
-    return Fraction(beta_closed(n), n**n)
+    return _fraction(beta_closed(n), n**n)
 
 
 def telescoping_difference(n: int) -> int:
@@ -215,7 +221,7 @@ def ramanujan_q(n: int) -> Fraction:
     """
     if n < 1:
         raise DomainError(f"ramanujan_q({n}) is undefined; n >= 1 required")
-    return Fraction(_falling_sum(n, [1] * n), n ** (n - 1))
+    return _fraction(_falling_sum(n, [1] * n), n ** (n - 1))
 
 
 def brute_force_admitted(n: int, d: int, cutoff: int = DEFAULT_BRUTE_CUTOFF) -> bool:

@@ -18,11 +18,14 @@ Deliberately naive and independent of the integer kernels they certify:
 * ``alpha_formula``, ``beta_formula`` and ``s_d_formula`` are the README's
   closed sums, and ``q_formula`` the defining sum of Q, with each n!/k! a
   factorial division and every term built on its own, apart from the
-  binary splitting behind ``s_d_closed`` and ``ramanujan_q``.
+  binary splitting behind ``s_d_closed`` and ``ramanujan_q``;
+* ``str_unlimited`` is ``str()`` with Python's int-to-str digit limit
+  lifted, against ``exact_str``.
 """
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable
 from fractions import Fraction
 from math import comb, factorial
@@ -263,3 +266,19 @@ def q_formula(n: int) -> Fraction:
     return sum(
         (Fraction(factorial(n), factorial(n - k) * n**k) for k in range(1, n + 1)), Fraction(0)
     )
+
+
+# --- decimal printing -----------------------------------------------------
+
+
+def str_unlimited(x) -> str:
+    """str(x) with Python's int-to-str digit limit lifted, then restored."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:  # before Python 3.10.7 there is no limit
+        return str(x)
+    old = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(x)
+    finally:
+        sys.set_int_max_str_digits(old)

@@ -28,6 +28,7 @@ import lacasse
 from lacasse import cli, identity, kernels
 from lacasse.identity import VerificationReport, alpha_closed, beta_closed, ramanujan_q
 from lacasse.series import ConsistencyError
+from oracles import str_unlimited
 
 
 def run_cli(*args: str, site: Path | None = None) -> subprocess.CompletedProcess:
@@ -123,23 +124,10 @@ def test_parser_built_once_for_many_calls(monkeypatch, fresh_parser):
 # --- large n: full decimal output past the int-to-str digit limit ----------
 
 
-def _str_unlimited(x) -> str:
-    """str(x) with Python's int-to-str digit limit lifted, then restored."""
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    if get_limit is None:  # before Python 3.11 there is no limit
-        return str(x)
-    old = get_limit()
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(x)
-    finally:
-        sys.set_int_max_str_digits(old)
-
-
 @functools.lru_cache(maxsize=None)
 def _value_text(quantity: str, n: int) -> str:
     compute = {"alpha": alpha_closed, "beta": beta_closed, "q": ramanujan_q}
-    return _str_unlimited(compute[quantity](n))
+    return str_unlimited(compute[quantity](n))
 
 
 @pytest.mark.parametrize("fmt", cli.FORMATS)
@@ -170,7 +158,7 @@ def test_verify_large_n_full_digits(capsys, fmt):
     rows = []
     for n in (1500, 1501):
         alpha, beta = _value_text("alpha", n), _value_text("beta", n)
-        diff = _str_unlimited(n ** (n + 1))
+        diff = str_unlimited(n ** (n + 1))
         assert len(alpha) > 4300
         rows.append((n, alpha, beta, diff))
     if fmt == "plain":
@@ -570,7 +558,10 @@ IMPORT_SET_CODE = """
 import sys
 sys.path.insert(0, sys.argv[1])
 from lacasse import cli
-watched = ("json", "csv", "traceback", "concurrent.futures", "multiprocessing", "dataclasses")
+watched = (
+    "json", "csv", "traceback", "decimal", "fractions",
+    "concurrent.futures", "multiprocessing", "dataclasses",
+)
 report = []
 for command in sys.argv[2:]:
     code = cli.main(command.split())
@@ -628,6 +619,29 @@ def test_subprocess_loads_json_csv_and_traceback_only_where_used(commands, expec
     report, _ = loaded_after(*commands)
     assert [code for code, _ in report] == [0] * len(commands)
     assert {"json", "csv", "traceback"} & set(report[-1][1]) == expected
+
+
+@pytest.mark.parametrize(
+    "commands, expected",
+    [
+        (("verify --from 1 --to 5", "value alpha 50", "value s_d 50 --d 4"), set()),
+        (("value q 50",), {"decimal", "fractions"}),
+        (("value xi 50",), {"decimal", "fractions"}),
+        (("series geom --order 4 --d 3",), {"decimal", "fractions"}),
+        (("value alpha 2000",), {"decimal"}),
+    ],
+    ids=["int-values", "value-q", "value-xi", "series", "past-str-limit"],
+)
+def test_subprocess_loads_decimal_and_fractions_only_where_used(commands, expected):
+    # ints print with str() within the 4300-digit limit, so only an int
+    # past it loads decimal; only a command that builds a Fraction loads
+    # fractions, which imports decimal itself.  The process first runs an
+    # int command, which must load neither, so the last command is what
+    # loads the expected set.
+    report, _ = loaded_after("value diff 50", *commands)
+    assert [code for code, _ in report] == [0] * (len(commands) + 1)
+    assert {"decimal", "fractions"} & set(report[0][1]) == set()
+    assert {"decimal", "fractions"} & set(report[-1][1]) == expected
 
 
 CRASH_CODE = """

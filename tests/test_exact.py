@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from math import comb, gcd
 
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import multinomial
+from lacasse.exact import exact_str
+from oracles import multinomial, str_unlimited
 
 
 def test_multinomial_examples():
@@ -61,3 +63,69 @@ def test_rational_sum_is_normalized(a, b):
     s = a + b
     assert gcd(s.numerator, s.denominator) == 1
     assert s.denominator > 0
+
+
+# --- exact_str: str() within the int-to-str digit limit, Decimal past it --
+
+
+@given(
+    st.integers(min_value=0, max_value=30_000).flatmap(
+        lambda bits: st.integers(min_value=-(2**bits), max_value=2**bits)
+    )
+)
+def test_exact_str_is_str_with_the_limit_lifted(x):
+    # up to about 9000 digits, so both sides of the 4300-digit default
+    assert exact_str(x) == str_unlimited(x)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [10**4299, 10**4300 - 1, 10**4300, -(10**4300)],
+    ids=["4300-digits-power", "4300-nines", "4301-digits", "4301-digits-negative"],
+)
+def test_exact_str_at_the_default_limit(x):
+    assert exact_str(x) == str_unlimited(x)
+
+
+def test_exact_str_where_str_converts_before_refusing():
+    # CPython refuses an int of more than 480 30-bit digits (about 4335
+    # decimal digits) from its size alone, but a shorter one past the limit
+    # only after converting it whole, so here exact_str converts twice:
+    # once in str(), once in Decimal
+    x = 7**5100  # 4311 digits, 14318 bits
+    assert 4301 <= len(str_unlimited(x)) <= 4340
+    assert exact_str(x) == str_unlimited(x)
+    assert exact_str(-x) == "-" + str_unlimited(x)
+
+
+@pytest.mark.parametrize(
+    "x, text",
+    [
+        (Fraction(12, 1), "12"),
+        (Fraction(-12, 1), "-12"),
+        (Fraction(0), "0"),
+        (Fraction(-3, 4), "-3/4"),
+        (Fraction(10**4300 + 1, 3), f"{str_unlimited(10**4300 + 1)}/3"),
+    ],
+    ids=["whole", "whole-negative", "zero", "negative", "past-str-limit"],
+)
+def test_exact_str_fraction(x, text):
+    assert exact_str(x) == text
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+def test_exact_str_under_a_user_limit_prints_every_digit_and_keeps_it():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        x = 3**2000  # 955 digits
+        with pytest.raises(ValueError):
+            str(x)
+        texts = exact_str(x), exact_str(Fraction(1, x))
+        limit = sys.get_int_max_str_digits()
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert limit == 640
+    assert texts == (str_unlimited(x), f"1/{str_unlimited(x)}")
