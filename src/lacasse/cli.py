@@ -9,11 +9,11 @@ identity being a theorem), 2 usage or domain error, 70 (EX_SOFTWARE) an
 internal fault that escaped ``main``.  Exact values print as
 full decimal strings, rationals as p/q; never scientific notation.
 Only ``--format json`` loads ``json``, only ``--format csv`` loads ``csv``,
-and only a crash loads ``traceback``.  Ints print with ``str()`` within
-Python's int-to-str digit limit and through ``Decimal`` past it, so only
-such an int loads ``decimal``; a rational (``q``, ``xi``, ``xi2``,
-``series``) and ``bench``, through ``statistics``, load it with
-``fractions``.
+and only a crash loads ``traceback``.  Ints of any size print by
+``exact_str``'s split at powers of ten, which loads no module and never
+reads or changes Python's int-to-str digit limit, so no int loads
+``decimal``; a rational (``q``, ``xi``, ``xi2``, ``series``) and
+``bench``, through ``statistics``, load it with ``fractions``.
 """
 
 from __future__ import annotations

@@ -167,22 +167,22 @@ def _falling_sum(n: int, weights: list[int], certify: bool = False) -> int:
     return block(0, len(weights))[0]
 
 
-def _fraction(p: int, q: int) -> Fraction:
+def _fraction(p: int, q: int):
     """p/q in lowest terms; ``fractions`` loads on the first rational built."""
     from fractions import Fraction
 
     return Fraction(p, q)
 
 
-def xi(n: int) -> Fraction:
-    """alpha(n) / n^n as an exact rational; undefined at n = 0."""
+def xi(n: int):
+    """alpha(n) / n^n as a ``fractions.Fraction``; undefined at n = 0."""
     if n < 1:
         raise DomainError(f"xi({n}) is undefined; n >= 1 required (division by n^n)")
     return _fraction(alpha_closed(n), n**n)
 
 
-def xi2(n: int) -> Fraction:
-    """beta(n) / n^n as an exact rational; undefined at n = 0."""
+def xi2(n: int):
+    """beta(n) / n^n as a ``fractions.Fraction``; undefined at n = 0."""
     if n < 1:
         raise DomainError(f"xi2({n}) is undefined; n >= 1 required (division by n^n)")
     return _fraction(beta_closed(n), n**n)
@@ -212,8 +212,8 @@ def telescoping_difference(n: int) -> int:
     return total
 
 
-def ramanujan_q(n: int) -> Fraction:
-    """Q(n) = sum_{k=1..n} n! / ((n-k)! n^k) as an exact rational.
+def ramanujan_q(n: int):
+    """Q(n) = sum_{k=1..n} n! / ((n-k)! n^k) as a ``fractions.Fraction``.
 
     Over the common denominator n^(n-1) the k-th term has numerator
     ((n-1)!/j!) n^j with j = n-k, so the numerator is ``_falling_sum`` with

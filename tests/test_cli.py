@@ -31,13 +31,21 @@ from lacasse.series import ConsistencyError
 from oracles import str_unlimited
 
 
-def run_cli(*args: str, site: Path | None = None) -> subprocess.CompletedProcess:
-    # site: a directory put first on the child's path, as for a sitecustomize.py
+def run_cli(
+    *args: str, site: Path | None = None, env_vars: dict | None = None
+) -> subprocess.CompletedProcess:
+    # site: a directory put first on the child's path, as for a sitecustomize.py;
+    # env_vars: variables to set in the child, or with None to unset
     env = os.environ.copy()
     src = str(Path(lacasse.__file__).resolve().parents[1])
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     if site is not None:
         env["PYTHONPATH"] = str(site) + os.pathsep + env["PYTHONPATH"]
+    for key, value in (env_vars or {}).items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
     return subprocess.run(
         [sys.executable, "-m", "lacasse", *args],
         capture_output=True,
@@ -551,6 +559,31 @@ def test_subprocess_verify_jobs_independence():
     assert base.stderr == twin.stderr
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        "value alpha 2000",
+        "value q 2000",
+        "verify --from 1500 --to 1501 --routes closed",
+    ],
+)
+def test_subprocess_full_digits_under_any_int_str_limit(command):
+    # past 4300 digits, printed through the entry point with the limit at
+    # its default, at 640 (the lowest Python accepts) and lifted (0): ints
+    # print as pieces of at most 600 digits, so every limit gives the same
+    # bytes and none raises
+    runs = {
+        limit: run_cli(*command.split(), env_vars={"PYTHONINTMAXSTRDIGITS": limit})
+        for limit in (None, "640", "0")
+    }
+    default = runs[None]
+    assert default.returncode == 0 and default.stderr == ""
+    assert max(map(len, default.stdout.replace("/", " ").split())) > 4300
+    for limit in ("640", "0"):
+        run = runs[limit]
+        assert (run.returncode, run.stderr, run.stdout) == (0, "", default.stdout), limit
+
+
 # reads sys.modules before it imports anything itself, so every watched
 # module it reports was loaded by lacasse; run with -S, so no site hook
 # loads one first
@@ -628,16 +661,16 @@ def test_subprocess_loads_json_csv_and_traceback_only_where_used(commands, expec
         (("value q 50",), {"decimal", "fractions"}),
         (("value xi 50",), {"decimal", "fractions"}),
         (("series geom --order 4 --d 3",), {"decimal", "fractions"}),
-        (("value alpha 2000",), {"decimal"}),
+        (("value alpha 2000",), set()),
     ],
-    ids=["int-values", "value-q", "value-xi", "series", "past-str-limit"],
+    ids=["int-values", "value-q", "value-xi", "series", "past-str-limit-loads-neither"],
 )
 def test_subprocess_loads_decimal_and_fractions_only_where_used(commands, expected):
-    # ints print with str() within the 4300-digit limit, so only an int
-    # past it loads decimal; only a command that builds a Fraction loads
-    # fractions, which imports decimal itself.  The process first runs an
-    # int command, which must load neither, so the last command is what
-    # loads the expected set.
+    # ints print by splitting on int powers of ten at every size, so no int,
+    # not even one past the 4300-digit str() limit, loads decimal; only a
+    # command that builds a Fraction loads fractions, which imports decimal
+    # itself.  The process first runs an int command, which must load
+    # neither, so the last command is what loads the expected set.
     report, _ = loaded_after("value diff 50", *commands)
     assert [code for code, _ in report] == [0] * (len(commands) + 1)
     assert {"decimal", "fractions"} & set(report[0][1]) == set()
