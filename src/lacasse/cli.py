@@ -11,9 +11,11 @@ full decimal strings, rationals as p/q; never scientific notation.
 Only ``--format json`` loads ``json``, only ``--format csv`` loads ``csv``,
 and only a crash loads ``traceback``.  Ints of any size print by
 ``exact_str``'s split at powers of ten, which loads no module and never
-reads or changes Python's int-to-str digit limit, so no int loads
-``decimal``; a rational (``q``, ``xi``, ``xi2``, ``series``) and
-``bench``, through ``statistics``, load it with ``fractions``.
+reads or changes Python's int-to-str digit limit (from Python 3.12 the
+``divmod`` of an int past about 6,150 digits loads ``decimal`` inside
+CPython's ``_pylong``); a rational (``q``, ``xi``, ``xi2``, ``series``)
+and ``bench``, through ``statistics``, load ``decimal`` with
+``fractions``.
 """
 
 from __future__ import annotations

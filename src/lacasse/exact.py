@@ -8,7 +8,9 @@ them run (``math.comb`` only sizes the brute-force cutoff); powers come
 from ``**``, whose ``0**0 == 1`` is the convention every k^k factor
 relies on.  Ints print by divide and conquer over powers of ten, with
 ``str()`` only on pieces of at most ``_DIGITS`` digits, so printing needs
-no module and this one imports none.
+no module and this one imports none (from Python 3.12 CPython's own
+``divmod`` imports ``_pylong``, and with it ``decimal``, for a quotient
+and divisor past a few thousand digits).
 """
 
 __all__ = ["DomainError"]

@@ -92,22 +92,17 @@ def tree_egf(order: int) -> list:
     their binomial and their weights sum to m+1, so
     g[m] = (m+1) sum_{i < (m-1)/2} C(m-1, i) g[i] g[m-1-i], plus the middle
     term (h+1) C(m-1, h) g[h]^2 at h = (m-1)/2 when m is odd: only the
-    first half of the Pascal row is read, so only that half is carried,
-    and the whole solve takes about order^2/4 products of a binomial and
-    two coefficients.  When m is odd the half gains the middle entry
-    C(m-1, h) = C(m-2, h-1) + C(m-2, h) = 2 C(m-2, h-1), by symmetry.
+    first half of the Pascal row is read, and the whole solve takes about
+    order^2/4 products of a binomial and two coefficients.
     """
     y = [0] * (order + 1)
     g = [1]
-    row = [1]  # C(m-1, i) for i = 0..(m-1)//2 at step m
+    row = [1]  # row m - 1 of Pascal's triangle at step m
     for m in range(1, order + 1):
         y[m] = m * g[m - 1]
         if m < order:
             if m > 1:
-                middle = 2 * row[-1]
-                row = [1, *map(add, row, row[1:])]
-                if m % 2:
-                    row.append(middle)
+                row = [1, *map(add, row, row[1:]), 1]
             h = m // 2  # pairs i < h; i = h is the middle term when m is odd
             acc = 0
             for i in range(h):
