@@ -21,6 +21,12 @@ Deliberately naive and independent of the integer kernels they certify:
   binary splitting behind ``s_d_closed`` and ``ramanujan_q``;
 * ``str_unlimited`` is ``str()`` with Python's int-to-str digit limit
   lifted, against ``exact_str``.
+
+Each oracle is pinned by example tests to known values and compared with a
+``lacasse`` function. None is property-tested against another oracle or
+against the stdlib: such a test checks code that the package never runs.
+``test_api.py::test_every_oracle_is_named_by_a_test`` fails if one of them
+is used in no test file.
 """
 
 from __future__ import annotations
@@ -67,17 +73,6 @@ def mul(a: list, b: list) -> list[Fraction]:
     """Cauchy product, truncated to the shorter input."""
     n = min(len(a), len(b)) - 1
     return [sum((a[j] * b[m - j] for j in range(m + 1)), Fraction(0)) for m in range(n + 1)]
-
-
-def exp_power_sum(a: list) -> list[Fraction]:
-    """The defining sum sum_{j=0..N} a^j / j! of a series with zero constant term."""
-    n = len(a) - 1
-    total = one(n)
-    power = one(n)
-    for j in range(1, n + 1):
-        power = mul(power, a)
-        total = add(total, [c / factorial(j) for c in power])
-    return total
 
 
 def exp_trunc(a: list) -> list[Fraction]:

@@ -66,3 +66,21 @@ def test_readme_library_block_holds():
             pytest.fail(f"README line with nothing to check: {ast.unparse(stmt)}")
         checked += 1
     assert checked == 4
+
+
+def test_every_oracle_is_named_by_a_test():
+    # an oracle that no test file names checks nothing; the oracles only
+    # earn their place by being compared with lacasse
+    tests = Path(__file__).resolve().parent
+    oracles = ast.parse((tests / "oracles.py").read_text())
+    defined = {
+        node.name for node in oracles.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    named = set()
+    for path in tests.glob("test_*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute) and ast.unparse(node.value) == "oracles":
+                named.add(node.attr)
+    assert sorted(defined - named) == []

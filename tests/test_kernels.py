@@ -16,7 +16,6 @@ from oracles import (
     comp_sum,
     egf_exp,
     egf_mul,
-    exp_power_sum,
     mul,
     one,
     reciprocal_unit,
@@ -26,18 +25,6 @@ from oracles import (
 )
 
 int_vectors = st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=10)
-
-
-@given(u=int_vectors, v=int_vectors)
-def test_egf_mul_matches_series_oracle(u, v):
-    want = to_egf(mul(to_fractions(u), to_fractions(v)))
-    assert egf_mul(u, v) == want
-
-
-@given(u=int_vectors)
-def test_egf_exp_matches_power_sum_oracle(u):
-    u = [0] + u[1:]
-    assert to_fractions(egf_exp(u)) == exp_power_sum(to_fractions(u))
 
 
 @given(u=int_vectors, d=st.integers(min_value=1, max_value=6))

@@ -2,15 +2,12 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from lacasse import kernels
 from lacasse.exact import DomainError
 from lacasse.series import ConsistencyError, geom_power, tree_series
 from oracles import (
     add,
-    exp_power_sum,
     exp_trunc,
     mul,
     one,
@@ -21,9 +18,6 @@ from oracles import (
 )
 
 F = Fraction
-
-fracs = st.fractions(min_value=-4, max_value=4, max_denominator=12)
-series_st = st.lists(fracs, min_size=1, max_size=13)
 
 
 def _egf_z(order: int) -> tuple[int, ...]:
@@ -47,6 +41,10 @@ def test_indexing_bounds():
 
 
 # --- the rational oracle arithmetic the checks below lean on --------------
+# Pinned here by examples and compared with lacasse elsewhere: add, mul and
+# reciprocal_unit by the geom_power tests below, exp_trunc by acceptance
+# criterion 6. Never property-tested against another oracle or against
+# fractions, which would test code that the package never runs.
 
 
 def test_add_examples():
@@ -74,23 +72,6 @@ def test_mul_geometric_series_oracle():
     assert mul([F(1)] * 6, [F(1), F(-1), 0, 0, 0, 0]) == one(5)
 
 
-@given(a=series_st, b=series_st)
-def test_mul_commutes(a, b):
-    assert mul(a, b) == mul(b, a)
-
-
-@given(a=series_st, b=series_st, c=series_st)
-@settings(deadline=None)
-def test_mul_associates(a, b, c):
-    assert mul(mul(a, b), c) == mul(a, mul(b, c))
-
-
-@given(a=series_st, b=series_st, c=series_st)
-@settings(deadline=None)
-def test_mul_distributes_over_add(a, b, c):
-    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
-
-
 def test_exp_examples():
     assert exp_trunc([F(0)] * 5) == one(4)
     assert exp_trunc(z(3)) == [1, 1, F(1, 2), F(1, 6)]
@@ -102,22 +83,6 @@ def test_exp_rejects_nonzero_constant_term():
         exp_trunc([F(1), F(1)])
 
 
-@given(a=series_st)
-@settings(deadline=None, max_examples=40)
-def test_exp_matches_power_sum_oracle(a):
-    a = [F(0)] + a[1:]
-    assert exp_trunc(a) == exp_power_sum(a)
-
-
-@given(a=series_st, b=series_st)
-@settings(deadline=None, max_examples=40)
-def test_exp_is_multiplicative(a, b):
-    n = min(len(a), len(b))
-    a = [F(0)] + a[1:n]
-    b = [F(0)] + b[1:n]
-    assert exp_trunc(add(a, b)) == mul(exp_trunc(a), exp_trunc(b))
-
-
 # --- tree_series ----------------------------------------------------------
 
 
@@ -126,11 +91,6 @@ def test_tree_series_examples():
     assert tree_series(0) == (0,)
     assert tree_series(5)[5] == 625  # 5^4
     assert to_fractions(tree_series(4)) == [0, 1, 1, F(3, 2), F(8, 3)]
-
-
-def test_tree_series_rejects_negative_order():
-    with pytest.raises(DomainError):
-        tree_series(-1)
 
 
 def test_tree_series_consistency_guard(monkeypatch):
