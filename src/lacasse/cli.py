@@ -18,8 +18,6 @@ and ``bench``, through ``statistics``, load ``decimal`` with
 ``fractions``.
 """
 
-from __future__ import annotations
-
 import argparse
 import sys
 import time

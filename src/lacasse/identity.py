@@ -14,8 +14,6 @@ and the identity under test is beta(n) - alpha(n) = n^(n+1), equivalently
 xi2(n) = xi(n) + n after dividing by n^n.
 """
 
-from __future__ import annotations
-
 import os
 from collections import namedtuple
 from functools import partial

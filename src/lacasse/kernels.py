@@ -21,8 +21,6 @@ touches neither the tree function nor the closed forms.  One call sweeps a
 whole window of n and returns every round, s_1 through s_d.
 """
 
-from __future__ import annotations
-
 from operator import add, mul
 
 

@@ -7,8 +7,6 @@ power of 1/(1 - y) have integer entries in this form, so the series route
 to alpha, beta and the general d-part sums never leaves the integers.
 """
 
-from __future__ import annotations
-
 from collections.abc import Sequence
 
 from . import kernels

@@ -29,8 +29,6 @@ against the stdlib: such a test checks code that the package never runs.
 is used in no test file.
 """
 
-from __future__ import annotations
-
 import sys
 from collections.abc import Iterable
 from fractions import Fraction

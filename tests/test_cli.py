@@ -593,7 +593,7 @@ sys.path.insert(0, sys.argv[1])
 from lacasse import cli
 watched = (
     "json", "csv", "traceback", "decimal", "fractions",
-    "concurrent.futures", "multiprocessing", "dataclasses",
+    "concurrent.futures", "multiprocessing", "dataclasses", "__future__",
 )
 report = []
 for command in sys.argv[2:]:
@@ -621,7 +621,8 @@ def loaded_after(*commands: str) -> tuple[list[tuple[int, list[str]]], int | Non
 def test_subprocess_loads_the_pool_only_for_jobs():
     # a count of loaded modules, not a timing: one-worker commands, and
     # --jobs 2 with one route table to build, never import the process
-    # pool, and --jobs 2 over all routes still starts a real one
+    # pool, and --jobs 2 over all routes still starts a real one; no
+    # command loads __future__, which the package never imports
     report, cpus = loaded_after(
         "verify --from 1 --to 5",
         "value alpha 50",
@@ -629,6 +630,7 @@ def test_subprocess_loads_the_pool_only_for_jobs():
         "verify --from 1 --to 5 --jobs 2",
     )
     assert [code for code, _ in report] == [0, 0, 0, 0]
+    assert all("__future__" not in loaded for _, loaded in report)
     heavy = {"concurrent.futures", "multiprocessing", "dataclasses"}
     assert heavy.isdisjoint(report[2][1])
     if (cpus or 1) > 1:
