@@ -8,15 +8,17 @@ Deliberately naive and independent of the integer kernels they certify:
   from the binomial-convolution definitions, with ``math.comb``;
 * ``tree_fixed_point`` is the plain fixed-point iteration of y = z*exp(y)
   on ``egf_exp``, against ``tree_egf``'s online solve;
-* ``CompositionCursor``, ``comp_sum`` and ``beta_direct`` enumerate weak
-  compositions as tuples, one term per composition, and weight each with
-  ``multinomial``, a factorial quotient, apart from ``comp_power_sum``'s
-  sweep, which groups compositions by their first part and shares each
-  sub-sum across every n and every round of a window;
+* ``compositions`` yields the weak compositions of n into d parts as
+  stars-and-bars words, one per choice of d - 1 bar places among
+  n + d - 1, and ``comp_sum`` weights each with ``multinomial``, a
+  factorial quotient, one term per composition (at d = 3 it is beta by
+  direct enumeration), apart from ``comp_power_sum``'s sweep, which groups
+  compositions by their first part and shares each sub-sum across every n
+  and every round of a window;
 * ``alpha_direct`` is the definitional two-part sum for one n, with fresh
   ``math.comb`` and powers in every term, against round 2 of that sweep;
-* ``alpha_formula``, ``beta_formula`` and ``s_d_formula`` are the README's
-  closed sums, and ``q_formula`` the defining sum of Q, with each n!/k! a
+* ``s_d_formula`` is the README's closed sum, alpha's at d = 2 and beta's
+  at d = 3, and ``q_formula`` the defining sum of Q, with each n!/k! a
   factorial division and every term built on its own, apart from the
   binary splitting behind ``s_d_closed`` and ``ramanujan_q``;
 * ``str_unlimited`` is ``str()`` with Python's int-to-str digit limit
@@ -30,8 +32,9 @@ is used in no test file.
 """
 
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
+from itertools import combinations
 from math import comb, factorial
 
 # --- rational series ------------------------------------------------------
@@ -150,48 +153,16 @@ def tree_fixed_point(order: int) -> list[int]:
 # --- weak compositions ----------------------------------------------------
 
 
-class CompositionCursor:
-    """Iterator over the weak compositions of n into d parts.
+def compositions(n: int, d: int) -> Iterator[tuple[int, ...]]:
+    """The weak compositions of n into d parts, as stars-and-bars words.
 
-    Colex odometer order, starting from (n, 0, ..., 0) and ending at
-    (0, ..., 0, n); visits each of the C(n+d-1, d-1) compositions exactly
-    once.  ``current`` exposes the last tuple yielded.
+    A word of n stars and d - 1 bars has n + d - 1 places; each choice of
+    the bars' places gives one composition, whose parts are the runs of
+    stars between consecutive bars.
     """
-
-    def __init__(self, n: int, d: int):
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
-        if d < 1:
-            raise ValueError(f"d must be >= 1, got {d}")
-        self.n = n
-        self.d = d
-        self.current: tuple[int, ...] | None = None
-        self._exhausted = False
-
-    def __iter__(self) -> "CompositionCursor":
-        return self
-
-    def __next__(self) -> tuple[int, ...]:
-        if self._exhausted:
-            raise StopIteration
-        if self.current is None:
-            first = [0] * self.d
-            first[0] = self.n
-            self.current = tuple(first)
-            return self.current
-        state = list(self.current)
-        i = 0
-        while i < self.d and state[i] == 0:
-            i += 1
-        if i >= self.d - 1:
-            self._exhausted = True
-            raise StopIteration
-        v = state[i]
-        state[i] = 0
-        state[0] = v - 1
-        state[i + 1] += 1
-        self.current = tuple(state)
-        return self.current
+    for bars in combinations(range(n + d - 1), d - 1):
+        edges = (-1, *bars, n + d - 1)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
 def multinomial(parts: Iterable[int]) -> int:
@@ -199,8 +170,6 @@ def multinomial(parts: Iterable[int]) -> int:
     total = 0
     denom = 1
     for p in parts:
-        if p < 0:
-            raise ValueError(f"multinomial parts must be >= 0, got {p}")
         total += p
         denom *= factorial(p)
     return factorial(total) // denom
@@ -209,7 +178,7 @@ def multinomial(parts: Iterable[int]) -> int:
 def comp_sum(n: int, d: int) -> int:
     """Sum of multinomial(parts) * prod(k^k) over the weak d-part compositions of n."""
     total = 0
-    for parts in CompositionCursor(n, d):
+    for parts in compositions(n, d):
         w = multinomial(parts)
         for k in parts:
             w *= k**k  # 0**0 == 1
@@ -224,22 +193,7 @@ def alpha_direct(n: int) -> int:
     return sum(comb(n, k) * k**k * (n - k) ** (n - k) for k in range(n + 1))
 
 
-def beta_direct(n: int) -> int:
-    """The definitional 3-part multinomial sum, enumerated composition by composition."""
-    return comp_sum(n, 3)
-
-
 # --- closed sums ----------------------------------------------------------
-
-
-def alpha_formula(n: int) -> int:
-    """sum_{k=0..n} (n!/k!) n^k, each n!/k! by factorial division."""
-    return sum(factorial(n) // factorial(k) * n**k for k in range(n + 1))
-
-
-def beta_formula(n: int) -> int:
-    """sum_{k=0..n} (n!/k!) (n+1-k) n^k, each n!/k! by factorial division."""
-    return sum(factorial(n) // factorial(k) * (n + 1 - k) * n**k for k in range(n + 1))
 
 
 def s_d_formula(n: int, d: int) -> int:

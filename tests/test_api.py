@@ -1,10 +1,12 @@
 import ast
+import shlex
 from pathlib import Path
 
 import pytest
 
 import lacasse
 import lacasse.exact
+from lacasse import cli
 
 # The names the README's Library section and the CLI need; anything more
 # is surface to maintain, so the list grows only on purpose.
@@ -39,10 +41,32 @@ def test_exact_exports_only_domain_error():
     assert lacasse.exact.__all__ == ["DomainError"]
 
 
-def _readme_library_block() -> str:
+def _readme_block(section: str, fence: str) -> str:
+    """The first ``fence`` code block under README's ``## section`` heading."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = readme.split("\n## Library\n", 1)[1]
-    return section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    text = readme.split(f"\n## {section}\n", 1)[1]
+    return text.split(f"```{fence}\n", 1)[1].split("\n```", 1)[0]
+
+
+def test_readme_cli_block_holds(capsys):
+    # each "$ lacasse ARGS" with lines under it prints those lines on
+    # stdout; across the "..." that elides the middle of the verify run,
+    # the lines before and after it are compared
+    checked = 0
+    for command in _readme_block("CLI", "sh").split("$ lacasse ")[1:]:
+        args, *shown = command.splitlines()
+        if not shown:
+            continue
+        assert cli.main(shlex.split(args, comments=True)) == 0, args
+        out = capsys.readouterr().out.splitlines()
+        if "..." in shown:
+            cut = shown.index("...")
+            head, tail = shown[:cut], shown[cut + 1 :]
+            assert (out[: len(head)], out[len(out) - len(tail) :]) == (head, tail), args
+        else:
+            assert out == shown, args
+        checked += 1
+    assert checked == 5
 
 
 def test_readme_library_block_holds():
@@ -50,7 +74,7 @@ def test_readme_library_block_holds():
     # verify_range line returns its 300 passing reports
     namespace = {}
     checked = 0
-    for stmt in ast.parse(_readme_library_block()).body:
+    for stmt in ast.parse(_readme_block("Library", "python")).body:
         if isinstance(stmt, ast.ImportFrom):
             exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
             continue

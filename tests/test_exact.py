@@ -18,11 +18,6 @@ def test_multinomial_examples():
     assert multinomial([2, 2, 1]) == 30  # 5!/(2! 2! 1!)
 
 
-def test_multinomial_rejects_negative_part():
-    with pytest.raises(ValueError):
-        multinomial([2, -1, 3])
-
-
 # --- exact_str: str() on pieces of at most _DIGITS digits, split at powers of ten
 
 

@@ -6,6 +6,12 @@ at most 400 bytes.  Every entry runs in-process through ``cli.main``, each
 stream captured on its own.  Bench medians are timings, so they are masked
 in both streams before anything is pinned.
 
+The corpus holds the exit-2 domain errors too, whose one stderr line the
+package writes.  argparse's own usage errors stay out, as their bytes
+depend on the Python version and the terminal: an invalid choice prints
+``(choose from 'alpha', ...)`` on Python 3.11.7 and ``(choose from alpha,
+...)`` on 3.13.13, and the usage line re-wraps with ``COLUMNS``.
+
 ``python tests/test_golden.py``, with the package importable (installed, or
 ``PYTHONPATH=src``), runs every argv in the file again and rewrites it.  To
 add a command, add a line ``{"argv": [...]}`` and regenerate.  A change

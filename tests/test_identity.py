@@ -27,15 +27,7 @@ from lacasse.identity import (
 )
 from lacasse.kernels import comp_power_sum
 from lacasse.series import ConsistencyError, geom_power, tree_series
-from oracles import (
-    CompositionCursor,
-    alpha_direct,
-    alpha_formula,
-    beta_direct,
-    beta_formula,
-    q_formula,
-    s_d_formula,
-)
+from oracles import alpha_direct, comp_sum, compositions, q_formula, s_d_formula
 
 F = Fraction
 
@@ -76,9 +68,10 @@ def test_alpha_rejects_negative():
 
 
 def test_beta_direct_examples():
-    assert beta_direct(0) == 1  # single composition (0,0,0)
-    assert beta_direct(1) == 3  # three compositions, each contributing 1
-    assert beta_direct(2) == 18  # all 6 compositions
+    # beta enumerated composition by composition is comp_sum at d = 3
+    assert comp_sum(0, 3) == 1  # single composition (0,0,0)
+    assert comp_sum(1, 3) == 3  # three compositions, each contributing 1
+    assert comp_sum(2, 3) == 18  # all 6 compositions
 
 
 def test_beta_closed_examples():
@@ -91,7 +84,7 @@ def test_beta_closed_examples():
 def test_beta_routes_agree_midrange():
     brute = comp_power_sum(0, 40, 3)[-1]
     for n in range(41):
-        assert beta_direct(n) == beta_closed(n) == brute[n]
+        assert comp_sum(n, 3) == beta_closed(n) == brute[n]
 
 
 # --- s_d --------------------------------------------------------------------
@@ -106,11 +99,11 @@ def test_s_d_closed_examples():
 
 def test_s_d_closed_specializes_to_alpha_and_beta():
     # alpha_closed and beta_closed are s_d_closed at d = 2, 3; check them
-    # against the README sums with factorial division instead, past the
+    # against the README sum with factorial division instead, past the
     # 4300-digit mark at the last two n
     for n in [*range(41), 300, 1500]:
-        assert alpha_closed(n) == alpha_formula(n)
-        assert beta_closed(n) == beta_formula(n)
+        assert alpha_closed(n) == s_d_formula(n, 2)
+        assert beta_closed(n) == s_d_formula(n, 3)
 
 
 # a single Horner block, one split, and several levels of splitting (the
@@ -176,7 +169,7 @@ def test_s_d_validation():
 def test_xi_scaled_brute_examples():
     # the brute composition sum, now the last round of comp_power_sum
     assert comp_power_sum(2, 2, 2)[-1] == [10]  # (0,2),(1,1),(2,0) -> 4+2+4
-    assert comp_power_sum(1, 1, 3)[-1] == [3] == [beta_direct(1)]
+    assert comp_power_sum(1, 1, 3)[-1] == [3] == [comp_sum(1, 3)]
     for d in range(1, 7):
         assert comp_power_sum(0, 0, d)[-1] == [1]
 
@@ -251,41 +244,20 @@ def test_ramanujan_q_rejects_zero():
         ramanujan_q(0)
 
 
-# --- composition cursor -----------------------------------------------------
+# --- weak compositions ------------------------------------------------------
 
 
-def test_cursor_visits_each_composition_once():
-    for n in range(9):
-        for d in range(1, 5):
-            seen = list(CompositionCursor(n, d))
-            assert len(seen) == comb(n + d - 1, d - 1)
-            assert len(set(seen)) == len(seen)
-            assert all(len(c) == d and sum(c) == n and min(c) >= 0 for c in seen)
-
-
-def test_cursor_order_is_deterministic():
-    assert list(CompositionCursor(2, 3)) == [
-        (2, 0, 0),
-        (1, 1, 0),
+def test_compositions_examples():
+    assert list(compositions(2, 3)) == [
+        (0, 0, 2),
+        (0, 1, 1),
         (0, 2, 0),
         (1, 0, 1),
-        (0, 1, 1),
-        (0, 0, 2),
+        (1, 1, 0),
+        (2, 0, 0),
     ]
-
-
-def test_cursor_current_tracks_last_yield():
-    cur = CompositionCursor(2, 2)
-    assert cur.current is None
-    first = next(cur)
-    assert cur.current == first == (2, 0)
-
-
-def test_cursor_validation():
-    with pytest.raises(ValueError):
-        CompositionCursor(-1, 2)
-    with pytest.raises(ValueError):
-        CompositionCursor(2, 0)
+    assert list(compositions(0, 4)) == [(0, 0, 0, 0)]
+    assert list(compositions(5, 1)) == [(5,)]
 
 
 # --- verify -----------------------------------------------------------------

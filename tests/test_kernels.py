@@ -109,7 +109,7 @@ def test_comp_power_sum_examples():
     assert kernels.comp_power_sum(0, 2, 2) == [[1, 1, 4], [1, 2, 10]]
 
 
-def test_comp_power_sum_matches_cursor_oracle():
+def test_comp_power_sum_matches_composition_oracle():
     # every round e = 1..d on every window [first, last] with last <= 12:
     # first = 0, first = last and first > 0 alike, so a window misaligned
     # by first, or a round misaligned by e, shows
