@@ -52,12 +52,17 @@ def _cell(x):
     return x
 
 
-def _emit(fmt: str, rows: list[dict], plain_lines: list[str], fields=CSV_FIELDS) -> None:
-    """Write plain lines, one JSON object per row, or a CSV header and a row's ``fields``."""
+def _emit(fmt: str, rows, plain, fields=CSV_FIELDS) -> None:
+    """Write each row as it is drawn: its ``plain`` line, JSON object or CSV ``fields``.
+
+    Every DomainError and ConsistencyError is raised before the first row, so
+    exits 1 and 2 leave stdout empty; only an internal crash (exit 70) can
+    leave rows on it.
+    """
     out = sys.stdout
     if fmt == "plain":
-        for line in plain_lines:
-            out.write(line + "\n")
+        for row in rows:
+            out.write(plain(row) + "\n")
     elif fmt == "json":
         import json
 
@@ -92,8 +97,7 @@ def cmd_value(args) -> int:
         "diff": identity.telescoping_difference,
     }
     value = identity.s_d_closed(n, d) if quantity == "s_d" else compute[quantity](n)
-    text = exact_str(value)
-    _emit(args.format, [_row(n, quantity, d, text)], [text])
+    _emit(args.format, [_row(n, quantity, d, exact_str(value))], lambda r: r["value"])
     return EXIT_OK
 
 
@@ -102,25 +106,19 @@ def cmd_verify(args) -> int:
     reports = identity.verify_range(
         args.from_, args.to, routes=routes, cutoff=args.brute_cutoff, jobs=args.jobs
     )
-    rows = []
-    plain_lines = []
-    for rep in reports:
-        alpha, beta = exact_str(rep.alpha), exact_str(rep.beta)
-        diff, expected = exact_str(rep.difference), exact_str(rep.expected)
-        rows.append(
-            _row(rep.n, "diff", None, diff, rep.passed, rep.routes_compared,
-                 alpha=alpha, beta=beta, expected=expected)
-        )
-        plain_lines.append(
-            f"n={rep.n} alpha={alpha} beta={beta} diff={diff} "
-            f"expected={expected} routes={','.join(rep.routes_compared)} "
-            f"{'PASS' if rep.passed else 'FAIL'}"
-        )
-    failed = sum(1 for rep in reports if not rep.passed)
-    summary = (
-        f"verify [{args.from_},{args.to}]: {len(reports) - failed}/{len(reports)} passed"
+    rows = (
+        _row(rep.n, "diff", None, exact_str(rep.difference), rep.passed, rep.routes_compared,
+             alpha=exact_str(rep.alpha), beta=exact_str(rep.beta),
+             expected=exact_str(rep.expected))
+        for rep in reports
     )
-    _emit(args.format, rows, plain_lines)
+    _emit(args.format, rows, lambda r: (
+        f"n={r['n']} alpha={r['alpha']} beta={r['beta']} diff={r['value']} "
+        f"expected={r['expected']} routes={','.join(r['routes'])} "
+        f"{'PASS' if r['passed'] else 'FAIL'}"
+    ))
+    failed = sum(1 for rep in reports if not rep.passed)
+    summary = f"verify [{args.from_},{args.to}]: {len(reports) - failed}/{len(reports)} passed"
     # after the rows; on stderr unless plain, so JSON and CSV stdout stay pure
     print(summary, file=sys.stdout if args.format == "plain" else sys.stderr)
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
@@ -138,17 +136,16 @@ def cmd_series(args) -> int:
     else:
         label, d = "geom", args.d
         s = series_mod.geom_power(tree, args.d)
-    rows = []
-    plain_lines = []
-    f = 1  # m!, the only division out of the n!-scaled vector
-    for m in range(order + 1):
-        if m:
-            f *= m
-        e = s[m]
-        coeff, egf = exact_str(Fraction(e, f)), exact_str(e)
-        rows.append(_row(m, label, d, coeff, egf=egf))
-        plain_lines.append(f"{m} {coeff} {egf}")
-    _emit(args.format, rows, plain_lines)
+
+    def rows():
+        f = 1  # m!, the only division out of the n!-scaled vector
+        for m in range(order + 1):
+            if m:
+                f *= m
+            e = s[m]
+            yield _row(m, label, d, exact_str(Fraction(e, f)), egf=exact_str(e))
+
+    _emit(args.format, rows(), lambda r: f"{r['n']} {r['value']} {r['egf']}")
     return EXIT_OK
 
 
@@ -182,19 +179,20 @@ def cmd_bench(args) -> int:
     agree = all(row == closed[n] for table in tables.values() for n, row in table.items())
     verdict = f"values agree across routes: {'yes' if agree else 'NO'}"
 
-    plain_lines = [
-        f"s_d benchmark: d={d}, n=1..{n_max}, {args.repetitions} repetition(s), median wall times",
-        *(f"  {row['route']:<6}  {row['median_seconds']:.6f}s" for row in rows),
-        verdict,
-    ]
-    if not tables["brute"]:
-        plain_lines.append("note: brute-force route admitted no n at this cutoff")
-    _emit(args.format, rows, plain_lines, fields=("route", "median_seconds"))
-    if args.format == "json":
+    if args.format == "plain":
+        print(f"s_d benchmark: d={d}, n=1..{n_max}, {args.repetitions} repetition(s), "
+              "median wall times")
+    _emit(args.format, rows, lambda r: f"  {r['route']:<6}  {r['median_seconds']:.6f}s",
+          fields=("route", "median_seconds"))
+    if args.format == "plain":
+        print(verdict)
+        if not tables["brute"]:
+            print("note: brute-force route admitted no n at this cutoff")
+    elif args.format == "json":
         import json
 
         print(json.dumps({"values_agree": agree}))
-    elif args.format == "csv":
+    else:
         print(verdict, file=sys.stderr)  # stdout stays pure CSV, as in verify
     return EXIT_OK
 

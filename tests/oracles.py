@@ -203,9 +203,8 @@ def s_d_formula(n: int, d: int) -> int:
     """
     if d == 1:
         return n**n
-    return sum(
-        factorial(n) // factorial(j) * comb(n - j + d - 2, d - 2) * n**j for j in range(n + 1)
-    )
+    n_fact = factorial(n)
+    return sum(n_fact // factorial(j) * comb(n - j + d - 2, d - 2) * n**j for j in range(n + 1))
 
 
 def q_formula(n: int) -> Fraction:

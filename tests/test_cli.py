@@ -469,6 +469,34 @@ def test_stderr_follows_the_rows(command, rows, last):
     assert text.splitlines()[rows:] == [last]
 
 
+@pytest.mark.parametrize(
+    "command, rows, per_row",
+    [
+        ("verify --from 1 --to 5", 5, 4),
+        ("verify --from 1 --to 5 --format json", 5, 4),
+        ("series tree --order 5", 6, 2),
+    ],
+    ids=["verify-plain", "verify-json", "series-plain"],
+)
+def test_rows_are_written_as_they_are_made(monkeypatch, command, rows, per_row):
+    # each row is one write, made after its own per_row values are
+    # formatted and before any value of the next row is
+    real, formatted = cli.exact_str, 0
+
+    def counting_exact_str(x):
+        nonlocal formatted
+        formatted += 1
+        return real(x)
+
+    monkeypatch.setattr(cli, "exact_str", counting_exact_str)
+    counts = []
+    out = types.SimpleNamespace(write=lambda text: counts.append(formatted))
+    with contextlib.redirect_stdout(out):
+        code = cli.main(shlex.split(command))
+    assert code == 0
+    assert counts[:rows] == [per_row * (k + 1) for k in range(rows)]
+
+
 # --- subprocess end-to-end ---------------------------------------------------
 
 
