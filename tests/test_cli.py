@@ -1,8 +1,9 @@
 """The CLI beyond its output bytes, which golden.json pins (test_golden.py).
 
 Here: full digits past the int-to-str limit, against values the test
-computes; faults injected into the real kernels; the parser reused across
-calls; the order of stdout and stderr; and runs in real processes.
+computes; the parser reused across calls; the order of stdout and stderr;
+and runs in real processes.  Verification failures are injected from the
+one table in test_faults.py.
 """
 
 import argparse
@@ -17,7 +18,6 @@ import shlex
 import subprocess
 import sys
 import types
-from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -25,8 +25,8 @@ import pytest
 import lacasse
 from lacasse import cli, identity, kernels
 from lacasse.identity import VerificationReport, alpha_closed, beta_closed, ramanujan_q
-from lacasse.series import ConsistencyError
 from oracles import str_unlimited
+from test_faults import FAULTS, assert_reported
 
 
 def run_cli(
@@ -173,6 +173,9 @@ def test_verify_large_n_full_digits(capsys, fmt):
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):
+    # the one pin of cmd_verify's FAIL row (passed=False), through a stub:
+    # verify_range raises on a failed check, as README says, so no real
+    # fault reaches this branch until ROADMAP item 4
     fake = VerificationReport(
         n=7, alpha=1, beta=2, difference=1, expected=7**8,
         routes_compared=("closed",), passed=False,
@@ -181,74 +184,6 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     code, out, _ = main_out(capsys, "verify", "--from", "7", "--to", "7")
     assert code == 1
     assert "FAIL" in out
-
-
-def test_verify_route_disagreement_exit_code(monkeypatch, capsys):
-    def boom(*args, **kwargs):
-        raise identity.RouteDisagreementError(3, "alpha", ("closed", "brute"), (78, 79))
-
-    monkeypatch.setattr(identity, "verify_range", boom)
-    code, _, err = main_out(capsys, "verify", "--from", "3", "--to", "3")
-    assert code == 1
-    assert "verification failure" in err
-
-
-# --- verification failures injected into the real kernels -------------------
-
-
-def _off_by_one_at(fn, index):
-    def broken(*args):
-        out = fn(*args)
-        out[index] += 1
-        return out
-
-    return broken
-
-
-def _power_off_by_one_at(index, rows=slice(None)):
-    # egf_geom_power with entry index of the chosen rows one too large
-    real = kernels.egf_geom_power
-
-    def broken(*args, **kwargs):
-        out = real(*args, **kwargs)
-        for row in out[rows]:
-            row[index] += 1
-        return out
-
-    return broken
-
-
-def _sweep_off_by_one_at(n, round_index):
-    # comp_power_sum with one entry of one round, at n, one too large
-    real = kernels.comp_power_sum
-
-    def broken(first, last, d):
-        rounds = real(first, last, d)
-        rounds[round_index][n - first] += 1
-        return rounds
-
-    return broken
-
-
-def test_verify_brute_fault_names_route_and_n(monkeypatch, capsys):
-    monkeypatch.setattr(kernels, "comp_power_sum", _sweep_off_by_one_at(5, -1))
-    # from 3, an n read off the sweep at the wrong offset would miss n = 5
-    for first in ("1", "3"):
-        code, _, err = main_out(capsys, "verify", "--from", first, "--to", "8")
-        assert code == 1
-        assert "verification failure" in err
-        assert "'brute'" in err and "beta(5)" in err
-
-
-def test_verify_brute_alpha_fault_names_route_pair_and_n(monkeypatch, capsys):
-    # round 2 of the sweep is the brute alpha; breaking it alone must show
-    # as alpha, against the closed route, at the broken n
-    monkeypatch.setattr(kernels, "comp_power_sum", _sweep_off_by_one_at(5, 1))
-    for first in ("1", "3"):
-        code, _, err = main_out(capsys, "verify", "--from", first, "--to", "8")
-        assert code == 1
-        assert "verification failure" in err
-        assert "routes 'closed' and 'brute' disagree on alpha(5)" in err
 
 
 def test_verify_brute_cutoff_boundary(monkeypatch, capsys):
@@ -271,111 +206,6 @@ def test_verify_brute_cutoff_boundary(monkeypatch, capsys):
         assert " routes=closed,brute,series PASS" in line
     assert lines[7].startswith("n=12 ") and " routes=closed,series PASS" in lines[7]
     assert lines[8] == "verify [5,12]: 8/8 passed"
-
-
-def test_verify_series_fault_names_route(monkeypatch, capsys):
-    monkeypatch.setattr(kernels, "egf_geom_power", _power_off_by_one_at(4))
-    code, _, err = main_out(capsys, "verify", "--from", "1", "--to", "8")
-    assert code == 1
-    assert "'series'" in err and "alpha(4)" in err
-
-
-@pytest.mark.parametrize(
-    "rows, quantity", [(slice(1, 2), "alpha"), (slice(0, 1), "beta")], ids=["lower", "top"]
-)
-def test_verify_series_row_fault_names_quantity(monkeypatch, capsys, rows, quantity):
-    # verify's series alpha and beta are the lower and top rows of one pass
-    # at d = 3; a fault in either row alone shows as that quantity
-    monkeypatch.setattr(kernels, "egf_geom_power", _power_off_by_one_at(4, rows))
-    code, _, err = main_out(capsys, "verify", "--from", "1", "--to", "8")
-    assert code == 1
-    assert f"routes 'closed' and 'series' disagree on {quantity}(4)" in err
-
-
-def test_verify_tree_fault_is_consistency_failure(monkeypatch, capsys):
-    monkeypatch.setattr(kernels, "tree_egf", _off_by_one_at(kernels.tree_egf, 3))
-    code, _, err = main_out(capsys, "verify", "--from", "1", "--to", "8")
-    assert code == 1
-    assert "verification failure: tree series constructions disagree at z^3" in err
-
-
-def _one_weight_off(weights):
-    weights[len(weights) // 2] += 1
-
-
-def _last_term_dropped(weights):
-    del weights[-1]
-
-
-@pytest.mark.parametrize(
-    "n, broken",
-    [
-        (2, "telescoping sum"),
-        (3, "cancellation"),
-        (5, "cancellation"),
-        (10, "cancellation"),
-        (2000, "cancellation"),
-    ],
-)
-def test_diff_fault_is_consistency_failure(monkeypatch, capsys, n, broken):
-    # The faults reach the splitting that alpha and beta share.  One weight
-    # n - k off by one breaks t + f == n^(b-k) at that Horner step.  A sum one
-    # term short still keeps every block's invariant, so only the root
-    # comparison with n^(n+1) can catch it.  At n = 2000 the message quotes
-    # ints past the 4300-digit int-to-str limit.
-    fault = {"cancellation": _one_weight_off, "telescoping sum": _last_term_dropped}[broken]
-    real = identity._falling_sum
-
-    def faulty(m, weights, certify=False):
-        weights = list(weights)
-        fault(weights)
-        return real(m, weights, certify)
-
-    monkeypatch.setattr(identity, "_falling_sum", faulty)
-    with pytest.raises(ConsistencyError, match=broken):
-        identity.telescoping_difference(n)
-    code, out, err = main_out(capsys, "value", "diff", str(n))
-    assert code == 1
-    assert out == ""
-    assert err.startswith("verification failure:") and broken in err
-    if n == 3:  # weights 3, 2, 2, 0: from j = 3, (t, f) = (0, 3), then (6, 6)
-        assert err == (
-            "verification failure: telescoping cancellation broke at n=3, k=2: 12 != n^2 = 9\n"
-        )
-
-
-# A failure message quotes the values that disagreed, in full: past the
-# 4300-digit int-to-str limit it must still be built, so the run exits 1
-# (a verification failure), not 70 (a crash).
-
-
-def test_identity_fault_past_digit_limit(monkeypatch, capsys):
-    # the closed beta reads back as the closed alpha
-    real = identity.s_d_closed
-    monkeypatch.setattr(identity, "s_d_closed", lambda n, d: real(n, 2 if d == 3 else d))
-    code, out, err = main_out(
-        capsys, "verify", "--from", "2000", "--to", "2000", "--routes", "closed"
-    )
-    assert code == 1
-    assert out == ""
-    head = "verification failure: beta(2000) - alpha(2000) = 0 != n^(n+1) = "
-    assert err.startswith(head)
-    assert Decimal(err[len(head) :].rstrip()) == 2000**2001  # 6606 digits
-
-
-def test_tree_fault_past_digit_limit(monkeypatch, capsys):
-    # 1700^1699 has 5489 digits; the fault stands in for the fixed point
-    def broken(order):
-        y = [0] + [n ** (n - 1) for n in range(1, order + 1)]
-        y[-1] += 1
-        return y
-
-    monkeypatch.setattr(kernels, "tree_egf", broken)
-    code, out, err = main_out(capsys, "series", "tree", "--order", "1700")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("verification failure: tree series constructions disagree at z^1700")
-    assert len(err) > 2 * 5489
 
 
 def test_internal_value_error_is_not_a_usage_error(monkeypatch, capsys):
@@ -420,9 +250,9 @@ def test_series_bad_d_rejected_before_the_tree(monkeypatch, capsys):
 
 
 def test_bench_reports_disagreement(monkeypatch, capsys):
-    # the sweep's last round is the brute s_d; a disagreement is reported,
+    # the brute s_3 one too large at n = 5; a disagreement is reported,
     # never asserted
-    monkeypatch.setattr(kernels, "comp_power_sum", _sweep_off_by_one_at(3, -1))
+    FAULTS["brute-beta-5-from-1"].install(monkeypatch.setattr)
     args = ("bench", "--n-max", "6", "--d", "3", "--repetitions", "1")
     code, out, _ = main_out(capsys, *args)
     assert code == 0
@@ -675,51 +505,22 @@ def test_subprocess_crash_imports_traceback_and_exits_70():
     assert "RuntimeError: internal fault" in proc.stderr
 
 
-# sitecustomize.py runs at every interpreter start, so a fault set there
+# sitecustomize.py runs at every interpreter start, so the row's fault
 # reaches each pool worker under any start method
-SWEEP_FAULT = """
-from lacasse import kernels
-
-real = kernels.comp_power_sum
-
-def broken(first, last, d):
-    rounds = real(first, last, d)
-    rounds[1][4 - first] += 1
-    return rounds
-
-kernels.comp_power_sum = broken
-"""
-
-TREE_FAULT = """
-from lacasse import kernels
-
-real = kernels.tree_egf
-
-def broken(order):
-    y = real(order)
-    y[3] += 1
-    return y
-
-kernels.tree_egf = broken
+SITECUSTOMIZE = """
+import sys
+sys.path.insert(0, {tests!r})
+from test_faults import FAULTS
+FAULTS[{row!r}].install()
 """
 
 
-@pytest.mark.parametrize(
-    "fault, line",
-    [
-        (SWEEP_FAULT, "verification failure: routes 'closed' and 'brute' disagree on alpha(4)"),
-        (TREE_FAULT, "verification failure: tree series constructions disagree at z^3"),
-    ],
-    ids=["brute-round", "tree"],
-)
-def test_subprocess_fault_crosses_the_pool(tmp_path, fault, line):
-    (tmp_path / "sitecustomize.py").write_text(fault)
-    runs = [
-        run_cli("verify", "--from", "1", "--to", "8", "--jobs", jobs, site=tmp_path)
-        for jobs in ("1", "2")
-    ]
+@pytest.mark.parametrize("row", ["brute-alpha-5-from-1", "tree-3"], ids=["brute-round", "tree"])
+def test_subprocess_fault_crosses_the_pool(tmp_path, row):
+    tests = str(Path(__file__).resolve().parent)
+    (tmp_path / "sitecustomize.py").write_text(SITECUSTOMIZE.format(tests=tests, row=row))
+    fault = FAULTS[row]
+    runs = [run_cli(*fault.command.split(), "--jobs", jobs, site=tmp_path) for jobs in ("1", "2")]
     for run in runs:
-        assert run.returncode == 1, run.stderr
-        assert run.stdout == ""
-        assert run.stderr.startswith(line)
+        assert_reported(fault, run.returncode, run.stdout, run.stderr)
     assert runs[0].stderr == runs[1].stderr

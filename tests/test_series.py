@@ -3,9 +3,8 @@ from math import factorial
 
 import pytest
 
-from lacasse import kernels
 from lacasse.exact import DomainError
-from lacasse.series import ConsistencyError, geom_power, tree_series
+from lacasse.series import geom_power, tree_series
 from oracles import (
     add,
     exp_trunc,
@@ -91,20 +90,6 @@ def test_tree_series_examples():
     assert tree_series(0) == (0,)
     assert tree_series(5)[5] == 625  # 5^4
     assert to_fractions(tree_series(4)) == [0, 1, 1, F(3, 2), F(8, 3)]
-
-
-def test_tree_series_consistency_guard(monkeypatch):
-    real = kernels.tree_egf
-
-    def broken(order):
-        good = real(order)
-        if order >= 3:
-            good[3] += 1
-        return good
-
-    monkeypatch.setattr(kernels, "tree_egf", broken)
-    with pytest.raises(ConsistencyError):
-        tree_series(5)
 
 
 # --- geom_power -----------------------------------------------------------
