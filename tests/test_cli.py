@@ -208,6 +208,27 @@ def test_verify_brute_cutoff_boundary(monkeypatch, capsys):
     assert lines[8] == "verify [5,12]: 8/8 passed"
 
 
+def test_verify_series_fault_names_route(monkeypatch, capsys):
+    # asked for the series route alone, verify still checks it against the
+    # closed forms and names it
+    fault = FAULTS["series-alpha-4"]
+    fault.install(monkeypatch.setattr)
+    code = cli.main([*fault.command.split(), "--routes", "series"])
+    assert_reported(fault, code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize(
+    "row, fmt", [("series-alpha-4", "json"), ("series-beta-4", "csv")], ids=["lower", "top"]
+)
+def test_verify_series_row_fault_names_quantity(monkeypatch, capsys, row, fmt):
+    # a fault in the lower or top row of the one series pass shows as alpha
+    # or beta in every format, with stdout left empty
+    fault = FAULTS[row]
+    fault.install(monkeypatch.setattr)
+    code = cli.main([*fault.command.split(), "--format", fmt])
+    assert_reported(fault, code, *capsys.readouterr())
+
+
 def test_internal_value_error_is_not_a_usage_error(monkeypatch, capsys):
     # only DomainError means bad input; any other ValueError is a fault
     def boom(order):
