@@ -1,4 +1,5 @@
 import ast
+import re
 import shlex
 from pathlib import Path
 
@@ -7,6 +8,8 @@ import pytest
 import lacasse
 import lacasse.exact
 from lacasse import cli
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # The names the README's Library section and the CLI need; anything more
 # is surface to maintain, so the list grows only on purpose.
@@ -41,9 +44,10 @@ def test_exact_exports_only_domain_error():
     assert lacasse.exact.__all__ == ["DomainError"]
 
 
+
 def _readme_block(section: str, fence: str) -> str:
     """The first ``fence`` code block under README's ``## section`` heading."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     text = readme.split(f"\n## {section}\n", 1)[1]
     return text.split(f"```{fence}\n", 1)[1].split("\n```", 1)[0]
 
@@ -90,6 +94,18 @@ def test_readme_library_block_holds():
             pytest.fail(f"README line with nothing to check: {ast.unparse(stmt)}")
         checked += 1
     assert checked == 4
+
+
+def test_readme_names_only_files_in_the_repo():
+    # every BENCH file, CHANGES.md or path under tests/, bench/ or src/
+    # that README quotes in backticks, code blocks included, is in the
+    # checkout, so no figure cites a file that is not committed
+    readme = (ROOT / "README.md").read_text()
+    quoted = "\n".join(span for _, span in re.findall(r"(`+)(.+?)\1", readme, re.S))
+    pattern = r"\b(?:BENCH_\d+\.json|CHANGES\.md|(?:tests|bench|src)/[\w./-]*)"
+    named = set(re.findall(pattern, quoted))
+    assert any(name.startswith("BENCH_") for name in named)
+    assert sorted(name for name in named if not (ROOT / name).exists()) == []
 
 
 def test_every_oracle_is_named_by_a_test():

@@ -377,6 +377,7 @@ def test_subprocess_verify_jobs_independence():
     "command",
     [
         "value alpha 2000",
+        "value alpha 5000",
         "value q 2000",
         "verify --from 1500 --to 1501 --routes closed",
     ],
@@ -477,7 +478,7 @@ def test_subprocess_loads_json_csv_and_traceback_only_where_used(commands, expec
         (("value q 50",), {"decimal", "fractions"}),
         (("value xi 50",), {"decimal", "fractions"}),
         (("series geom --order 4 --d 3",), {"decimal", "fractions"}),
-        # exact_str splits alpha(2000)'s 6,605 digits on int powers of ten
+        # exact_str splits alpha(2000)'s 6,604 digits on int powers of ten
         # and imports nothing, but from Python 3.12 CPython's own divmod
         # hands a quotient that large to _pylong, which imports decimal
         (("value alpha 2000",), {"decimal"} if sys.version_info >= (3, 12) else set()),
