@@ -277,7 +277,3 @@ def main_entry() -> None:
         traceback.print_exc()
         code = EXIT_CRASH
     sys.exit(code)
-
-
-if __name__ == "__main__":
-    main_entry()

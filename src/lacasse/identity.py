@@ -239,14 +239,6 @@ def _normalize_routes(routes) -> tuple[str, ...]:
     return tuple(r for r in ALL_ROUTES if r in requested)
 
 
-def _require_agreement(n: int, quantity: str, values: dict[str, int]) -> None:
-    items = list(values.items())
-    base_route, base = items[0]
-    for route, val in items[1:]:
-        if val != base:
-            raise RouteDisagreementError(n, quantity, (base_route, route), (base, val))
-
-
 def verify_lacasse(
     n: int, routes=ALL_ROUTES, cutoff: int = DEFAULT_BRUTE_CUTOFF
 ) -> VerificationReport:
@@ -333,9 +325,14 @@ def verify_range(
     reports = []
     for n in range(first, last + 1):
         rows = {route: table[n] for route, table in zip(requested, tables) if n in table}
-        _require_agreement(n, "alpha", {route: row[0] for route, row in rows.items()})
-        _require_agreement(n, "beta", {route: row[1] for route, row in rows.items()})
-        alpha, beta = rows["closed"]
+        closed = rows["closed"]
+        for i, quantity in enumerate(("alpha", "beta")):
+            for route, row in rows.items():
+                if row[i] != closed[i]:
+                    raise RouteDisagreementError(
+                        n, quantity, ("closed", route), (closed[i], row[i])
+                    )
+        alpha, beta = closed
         difference = beta - alpha
         expected = n ** (n + 1)
         if difference != expected:

@@ -30,10 +30,11 @@ from test_faults import FAULTS, assert_reported
 
 
 def run_cli(
-    *args: str, site: Path | None = None, env_vars: dict | None = None
+    *args: str, site: Path | None = None, env_vars: dict | None = None, timeout: float = 300
 ) -> subprocess.CompletedProcess:
     # site: a directory put first on the child's path, as for a sitecustomize.py;
-    # env_vars: variables to set in the child, or with None to unset
+    # env_vars: variables to set in the child, or with None to unset; past
+    # timeout seconds the child is killed and TimeoutExpired raised
     env = os.environ.copy()
     src = str(Path(lacasse.__file__).resolve().parents[1])
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -49,7 +50,7 @@ def run_cli(
         capture_output=True,
         text=True,
         env=env,
-        timeout=300,
+        timeout=timeout,
     )
 
 
