@@ -17,7 +17,7 @@ xi2(n) = xi(n) + n after dividing by n^n.
 import os
 from collections import namedtuple
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import comb
 
 from . import kernels
@@ -106,8 +106,10 @@ def s_d_closed(n: int, d: int) -> int:
     The weight C(n-j+d-2, d-2) on the j-th term is the coefficient of
     y^(n-j) in 1/(1-y)^(d-1): d=2 and d=3 give the alpha and beta
     closed forms (weights 1 and n+1-j), and d=1 degenerates to n^n
-    (empty geometric factor, weight [j == n]).  The weights are d - 2
-    prefix sums of ones; the sum is ``_falling_sum``'s binary splitting.
+    (empty geometric factor, weight [j == n]).  Up to d = 4 the weights
+    are d - 2 prefix sums of ones; from d = 5 one ``math.comb`` per weight
+    is faster, and its cost barely grows with d.  The sum is
+    ``_falling_sum``'s binary splitting, three Horner steps per leaf pass.
     """
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
@@ -115,10 +117,14 @@ def s_d_closed(n: int, d: int) -> int:
         raise DomainError(f"d must be >= 1, got {d}")
     if d == 1:
         return n**n
-    weights = [1] * (n + 1)  # C(k+d-2, d-2) at k = n-j, by the hockey-stick identity
-    for _ in range(d - 2):
-        weights = list(accumulate(weights))
-    return _falling_sum(n, weights[::-1])
+    if d < 5:  # C(k+d-2, d-2) at k = n-j, by the hockey-stick identity
+        weights = [1] * (n + 1)
+        for _ in range(d - 2):
+            weights = list(accumulate(weights))
+        weights.reverse()
+    else:
+        weights = list(map(comb, range(n + d - 2, d - 3, -1), repeat(d - 2)))
+    return _falling_sum(n, weights)
 
 
 _BLOCK = 64  # terms per Horner block; smaller blocks cost more to combine
@@ -131,25 +137,41 @@ def _falling_sum(n: int, weights: list[int], certify: bool = False) -> int:
     from top to 0, is affine: the j in [a, b) give (t*n^(b-a) + f*T, f*F),
     and split at m, T = T_hi*n^(m-a) + F_hi*T_lo and F = F_lo*F_hi.  So the
     range is halved down to Horner blocks: balanced products, no division.
+    A block first takes its (b - a) mod 3 leftover steps one at a time, then
+    three per pass, composed as t -> t*n^3 + f*((w_j*n + j*w_(j-1))*n +
+    j(j-1)*w_(j-2)) and f -> f*j(j-1)(j-2): the coefficient stays a few
+    machine words, so a pass costs about what one step does.
 
     ``certify`` is for the weights n - j of ``telescoping_difference``: each
     step then maps t + f to (t + f)*n, so every block's (T, F) has
-    T + F == n^(b-a), checked after each Horner step and each combine.  A
-    miss raises ConsistencyError naming the step's k or the block.
+    T + F == n^(b-a), checked after each Horner step, one step per pass,
+    and after each combine.  A miss raises ConsistencyError naming the
+    step's k or the block.
     """
     pw = [n**i for i in range(_BLOCK + 1)] if certify else None
+    n3 = n**3
 
     def block(a: int, b: int) -> tuple[int, int]:
         if b - a <= _BLOCK:
             t, f = 0, 1
-            for j in range(b - 1, a - 1, -1):
+            if certify:
+                for j in range(b - 1, a - 1, -1):
+                    t = t * n + f * weights[j]
+                    f *= j
+                    if t + f != pw[b - j]:
+                        raise ConsistencyError(
+                            f"telescoping cancellation broke at n={n}, k={j}: "
+                            f"{exact_str(t + f)} != n^{b - j} = {exact_str(pw[b - j])}"
+                        )
+                return t, f
+            top = b - 1 - (b - a) % 3
+            for j in range(b - 1, top, -1):
                 t = t * n + f * weights[j]
                 f *= j
-                if certify and t + f != pw[b - j]:
-                    raise ConsistencyError(
-                        f"telescoping cancellation broke at n={n}, k={j}: "
-                        f"{exact_str(t + f)} != n^{b - j} = {exact_str(pw[b - j])}"
-                    )
+            for j in range(top, a, -3):
+                jj = j * (j - 1)
+                t = t * n3 + f * ((weights[j] * n + j * weights[j - 1]) * n + jj * weights[j - 2])
+                f *= jj * (j - 2)
             return t, f
         m = (a + b) // 2
         t_lo, f_lo = block(a, m)

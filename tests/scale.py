@@ -14,7 +14,7 @@ from decimal import Decimal
 
 import pytest
 
-from oracles import str_unlimited
+from oracles import s_d_formula, str_unlimited
 from test_cli import run_cli
 
 Row = namedtuple("Row", "commands check budget_s peak_mb", defaults=(300, None))
@@ -40,6 +40,9 @@ ROWS = {
     # 500,007 bytes of output: 1.32 s of 40 s
     "diff-100000": Row(["value diff 100000"],
                        lambda out: out == str_unlimited(100000**100001) + "\n", 40),
+    # 1801 digits, one math.comb per weight at any d: 0.06 s of 5 s
+    "s_d-d1000000": Row(["value s_d 300 --d 1000000"],
+                        lambda out: int(out) == s_d_formula(300, 10**6), 5),
     # geom_power at a d that no benchmark workload runs: 0.05 s
     "bench-d7": Row(["bench --n-max 40 --d 7 --repetitions 1"], lambda out: AGREE in out),
     # at d = 2, round 2 of the brute sweep is the output round, which no verify reaches: 0.09 s

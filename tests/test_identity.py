@@ -3,7 +3,7 @@ import multiprocessing
 import pickle
 import sys
 from fractions import Fraction
-from math import comb
+from math import comb, perm
 
 import pytest
 from hypothesis import given, settings
@@ -113,8 +113,24 @@ BLOCK_EDGES = [0, 1, 63, 64, 65, 127, 128, 129, 300, 700]
 
 @pytest.mark.parametrize("n", BLOCK_EDGES)
 def test_s_d_closed_matches_formula_across_blocks(n):
-    for d in range(1, 7):
+    # the weights are prefix sums up to d = 4 and one comb each from d = 5
+    large = (7, 40, 10**6) if n <= 300 else ()
+    for d in [*range(1, 7), *large]:
         assert s_d_closed(n, d) == s_d_formula(n, d)
+
+
+# Lengths 0..200 reach every leftover count (0, 1, 2) of a leaf's three-step
+# passes, and up to two splits; the weights are arbitrary, unlike those of
+# s_d, Q and diff.
+@given(data=st.data(), n=st.integers(min_value=0, max_value=50),
+       length=st.integers(min_value=0, max_value=200))
+@settings(deadline=None)
+def test_falling_sum_matches_direct_sum(data, n, length):
+    word = st.integers(min_value=-(2**200), max_value=2**200)
+    weights = data.draw(st.lists(word, min_size=length, max_size=length))
+    top = length - 1
+    direct = sum(perm(top, top - j) * w * n**j for j, w in enumerate(weights))
+    assert identity._falling_sum(n, weights) == direct
 
 
 def test_s_d_strictly_increasing_in_d():
