@@ -213,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_value.add_argument("quantity", choices=VALUE_QUANTITIES)
     p_value.add_argument("n", type=int)
     p_value.add_argument("--d", type=int, default=2, help="part count for s_d (default 2)")
-    p_value.add_argument("--format", choices=FORMATS, default="plain")
     p_value.set_defaults(func=cmd_value)
 
     p_verify = sub.add_parser("verify", help="verify the identity over a range of n")
@@ -221,8 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--to", type=int, required=True, metavar="N")
     p_verify.add_argument(
         "--routes",
-        default="closed,brute,series",
-        help="comma-separated subset of closed,brute,series (closed is always on)",
+        default=",".join(identity.ALL_ROUTES),
+        help=f"comma-separated subset of {','.join(identity.ALL_ROUTES)} (closed is always on)",
     )
     p_verify.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
     p_verify.add_argument(
@@ -231,23 +230,22 @@ def build_parser() -> argparse.ArgumentParser:
         default=identity.DEFAULT_BRUTE_CUTOFF,
         help="max enumeration terms before the brute route is dropped",
     )
-    p_verify.add_argument("--format", choices=FORMATS, default="plain")
     p_verify.set_defaults(func=cmd_verify)
 
     p_series = sub.add_parser("series", help="print series coefficient tables")
     p_series.add_argument("which", choices=("tree", "geom"))
     p_series.add_argument("--order", type=int, required=True)
     p_series.add_argument("--d", type=int, default=2, help="power for geom (default 2)")
-    p_series.add_argument("--format", choices=FORMATS, default="plain")
     p_series.set_defaults(func=cmd_series)
 
     p_bench = sub.add_parser("bench", help="time the closed/series/brute routes")
     p_bench.add_argument("--n-max", type=int, default=20)
     p_bench.add_argument("--d", type=int, default=2)
     p_bench.add_argument("--repetitions", type=int, default=3)
-    p_bench.add_argument("--format", choices=FORMATS, default="plain")
     p_bench.set_defaults(func=cmd_bench)
 
+    for p in (p_value, p_verify, p_series, p_bench):  # last in each --help
+        p.add_argument("--format", choices=FORMATS, default="plain")
     return parser
 
 

@@ -2,13 +2,13 @@
 
 Values throughout the package are Python ints (arbitrary precision, no
 overflow at any size used here) and ``fractions.Fraction`` (always lowest
-terms, positive denominator).  Factorials are running products and
-binomials are Pascal rows or prefix sums, both built as the sums that use
-them run (``math.comb`` only sizes the brute-force cutoff); powers come
-from ``**``, whose ``0**0 == 1`` is the convention every k^k factor
-relies on.  Ints print by divide and conquer over powers of ten, with
-``str()`` only on pieces of at most ``_DIGITS`` digits, so printing needs
-no module and this one imports none (from Python 3.12 CPython's own
+terms, positive denominator).  Factorials are running products, built as
+the sums that use them run; binomials are Pascal rows, prefix sums or,
+for ``s_d_closed`` from d = 5 and the brute-force cutoff, ``math.comb``;
+powers come from ``**``, whose ``0**0 == 1`` is the convention every k^k
+factor relies on.  Ints print by divide and conquer over powers of ten,
+with ``str()`` only on pieces of at most ``_DIGITS`` digits, so printing
+needs no module and this one imports none (from Python 3.12 CPython's own
 ``divmod`` imports ``_pylong``, and with it ``decimal``, for a quotient
 and divisor past a few thousand digits).
 """

@@ -137,16 +137,18 @@ def _falling_sum(n: int, weights: list[int], certify: bool = False) -> int:
     from top to 0, is affine: the j in [a, b) give (t*n^(b-a) + f*T, f*F),
     and split at m, T = T_hi*n^(m-a) + F_hi*T_lo and F = F_lo*F_hi.  So the
     range is halved down to Horner blocks: balanced products, no division.
-    A block first takes its (b - a) mod 3 leftover steps one at a time, then
-    three per pass, composed as t -> t*n^3 + f*((w_j*n + j*w_(j-1))*n +
-    j(j-1)*w_(j-2)) and f -> f*j(j-1)(j-2): the coefficient stays a few
-    machine words, so a pass costs about what one step does.
+    A block's one single-step loop takes its (b - a) mod 3 leftover steps
+    from j = b - 1, and its three-step loop the rest, each pass composed as
+    t -> t*n^3 + f*((w_j*n + j*w_(j-1))*n + j(j-1)*w_(j-2)) and
+    f -> f*j(j-1)(j-2): the coefficient stays a few machine words, so a
+    pass costs about what one step does.
 
     ``certify`` is for the weights n - j of ``telescoping_difference``: each
     step then maps t + f to (t + f)*n, so every block's (T, F) has
-    T + F == n^(b-a), checked after each Horner step, one step per pass,
-    and after each combine.  A miss raises ConsistencyError naming the
-    step's k or the block.
+    T + F == n^(b-a).  Certifying, the single-step loop takes every step
+    and checks each, leaving the three-step loop empty, and each combine is
+    checked too.  A miss raises ConsistencyError naming the step's k or the
+    block.
     """
     pw = [n**i for i in range(_BLOCK + 1)] if certify else None
     n3 = n**3
@@ -154,20 +156,15 @@ def _falling_sum(n: int, weights: list[int], certify: bool = False) -> int:
     def block(a: int, b: int) -> tuple[int, int]:
         if b - a <= _BLOCK:
             t, f = 0, 1
-            if certify:
-                for j in range(b - 1, a - 1, -1):
-                    t = t * n + f * weights[j]
-                    f *= j
-                    if t + f != pw[b - j]:
-                        raise ConsistencyError(
-                            f"telescoping cancellation broke at n={n}, k={j}: "
-                            f"{exact_str(t + f)} != n^{b - j} = {exact_str(pw[b - j])}"
-                        )
-                return t, f
-            top = b - 1 - (b - a) % 3
+            top = a - 1 if certify else b - 1 - (b - a) % 3
             for j in range(b - 1, top, -1):
                 t = t * n + f * weights[j]
                 f *= j
+                if certify and t + f != pw[b - j]:
+                    raise ConsistencyError(
+                        f"telescoping cancellation broke at n={n}, k={j}: "
+                        f"{exact_str(t + f)} != n^{b - j} = {exact_str(pw[b - j])}"
+                    )
             for j in range(top, a, -3):
                 jj = j * (j - 1)
                 t = t * n3 + f * ((weights[j] * n + j * weights[j - 1]) * n + jj * weights[j - 2])

@@ -6,14 +6,9 @@ name carries the criterion number.
 
 import json
 import math
-import os
-import subprocess
-import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
-import lacasse
 from lacasse import cli
 from lacasse.identity import (
     alpha_closed,
@@ -26,6 +21,7 @@ from lacasse.identity import (
 from lacasse.kernels import comp_power_sum
 from lacasse.series import geom_power, tree_series
 from oracles import alpha_direct, comp_sum, exp_trunc, mul, to_fractions, z
+from test_cli import run_cli
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -140,16 +136,7 @@ def test_criterion_09_cli_contract(capsys):
     out_par = capsys.readouterr().out
     ok = ok and sequential == 0 and parallel == 0 and out_seq == out_par
 
-    env = os.environ.copy()
-    src = str(Path(lacasse.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "lacasse", "value", "diff", "4"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
+    proc = run_cli("value", "diff", "4", timeout=120)
     ok = ok and proc.returncode == 0 and proc.stdout.strip() == str(4**5)
 
     _report("9", ok, "exit codes 0/2, plain/json equivalence, jobs-independent output")

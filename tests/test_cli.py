@@ -1,9 +1,10 @@
 """The CLI beyond its output bytes, which golden.json pins (test_golden.py).
 
 Here: full digits past the int-to-str limit, against values the test
-computes; the parser reused across calls; the order of stdout and stderr;
-and runs in real processes.  Verification failures are injected from the
-one table in test_faults.py.
+computes; the parser reused across calls; each subcommand's options in
+``--help`` order; the order of stdout and stderr; and runs in real
+processes.  Verification failures are injected from the one table in
+test_faults.py.
 """
 
 import argparse
@@ -54,22 +55,20 @@ def run_cli(
     )
 
 
-def main_out(capsys, *args: str) -> tuple[int, str, str]:
-    code = cli.main(list(args))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+def redirected_main(*args: str, merge: bool = False) -> tuple:
+    """cli.main(args) in process: (code, stdout, stderr), or with ``merge``
+    (code, text) with both streams in one buffer, so a line's stream
+    position shows.  The streams are fresh per call: the reused parser must
+    write to whichever sys.stdout and sys.stderr are current, not the ones
+    it was built under."""
+    out = io.StringIO()
+    err = out if merge else io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(args))
+    return (code, out.getvalue()) if merge else (code, out.getvalue(), err.getvalue())
 
 
 # --- one parser per process ---------------------------------------------------
-
-
-def redirected_main(*args: str) -> tuple[int, str, str]:
-    # fresh streams per call: the reused parser must write to whichever
-    # sys.stdout and sys.stderr are current, not the ones it was built under
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(list(args))
-    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture
@@ -111,6 +110,27 @@ def test_parser_built_once_for_many_calls(monkeypatch, fresh_parser):
     assert built == ["lacasse"]
 
 
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("value", ["--d D"]),
+        ("verify", ["--from N", "--to N", "--routes ROUTES", "--jobs JOBS",
+                    "--brute-cutoff BRUTE_CUTOFF"]),
+        ("series", ["--order ORDER", "--d D"]),
+        ("bench", ["--n-max N_MAX", "--d D", "--repetitions REPETITIONS"]),
+    ],
+    ids=["value", "verify", "series", "bench"],
+)
+def test_help_lists_each_subcommands_options_in_order(command, options):
+    # each option line's invocation, indented two spaces where a wrapped
+    # usage line is indented more; not the whole text, as argparse's layout
+    # differs across Python versions and terminal widths
+    code, out, err = redirected_main(command, "--help")
+    assert (code, err) == (0, "")
+    listed = [line[2:].split("  ")[0] for line in out.splitlines() if line.startswith("  -")]
+    assert listed == ["-h, --help", *options, "--format {plain,json,csv}"]
+
+
 # --- large n: full decimal output past the int-to-str digit limit ----------
 
 
@@ -122,10 +142,10 @@ def _value_text(quantity: str, n: int) -> str:
 
 @pytest.mark.parametrize("fmt", cli.FORMATS)
 @pytest.mark.parametrize("quantity", ["alpha", "q"])
-def test_value_large_n_full_digits(capsys, quantity, fmt):
+def test_value_large_n_full_digits(quantity, fmt):
     text = _value_text(quantity, 2000)
     assert max(len(part) for part in text.split("/")) > 4300
-    code, out, err = main_out(capsys, "value", quantity, "2000", "--format", fmt)
+    code, out, err = redirected_main("value", quantity, "2000", "--format", fmt)
     assert (code, err) == (0, "")
     if fmt == "plain":
         assert out == text + "\n"
@@ -139,9 +159,9 @@ def test_value_large_n_full_digits(capsys, quantity, fmt):
 
 
 @pytest.mark.parametrize("fmt", cli.FORMATS)
-def test_verify_large_n_full_digits(capsys, fmt):
-    code, out, _ = main_out(
-        capsys, "verify", "--from", "1500", "--to", "1501", "--routes", "closed",
+def test_verify_large_n_full_digits(fmt):
+    code, out, _ = redirected_main(
+        "verify", "--from", "1500", "--to", "1501", "--routes", "closed",
         "--format", fmt,
     )
     assert code == 0
@@ -173,7 +193,7 @@ def test_verify_large_n_full_digits(capsys, fmt):
 # --- verify -----------------------------------------------------------------
 
 
-def test_verify_failure_exit_code(monkeypatch, capsys):
+def test_verify_failure_exit_code(monkeypatch):
     # the one pin of cmd_verify's FAIL row (passed=False), through a stub:
     # verify_range raises on a failed check, as README says, so no real
     # fault reaches this branch until ROADMAP item 4
@@ -182,12 +202,12 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
         routes_compared=("closed",), passed=False,
     )
     monkeypatch.setattr(identity, "verify_range", lambda *a, **k: [fake])
-    code, out, _ = main_out(capsys, "verify", "--from", "7", "--to", "7")
+    code, out, _ = redirected_main("verify", "--from", "7", "--to", "7")
     assert code == 1
     assert "FAIL" in out
 
 
-def test_verify_brute_cutoff_boundary(monkeypatch, capsys):
+def test_verify_brute_cutoff_boundary(monkeypatch):
     # C(11+2, 2) = 78 compositions admits n = 11; n = 12 has 91
     calls = []
     real = kernels.comp_power_sum
@@ -197,8 +217,8 @@ def test_verify_brute_cutoff_boundary(monkeypatch, capsys):
         return real(*args)
 
     monkeypatch.setattr(kernels, "comp_power_sum", spy)
-    code, out, _ = main_out(
-        capsys, "verify", "--from", "5", "--to", "12", "--brute-cutoff", "78"
+    code, out, _ = redirected_main(
+        "verify", "--from", "5", "--to", "12", "--brute-cutoff", "78"
     )
     assert code == 0
     assert calls == [(5, 11, 3)]  # one sweep over the admitted prefix
@@ -209,28 +229,26 @@ def test_verify_brute_cutoff_boundary(monkeypatch, capsys):
     assert lines[8] == "verify [5,12]: 8/8 passed"
 
 
-def test_verify_series_fault_names_route(monkeypatch, capsys):
+def test_verify_series_fault_names_route(monkeypatch):
     # asked for the series route alone, verify still checks it against the
     # closed forms and names it
     fault = FAULTS["series-alpha-4"]
     fault.install(monkeypatch.setattr)
-    code = cli.main([*fault.command.split(), "--routes", "series"])
-    assert_reported(fault, code, *capsys.readouterr())
+    assert_reported(fault, *redirected_main(*fault.command.split(), "--routes", "series"))
 
 
 @pytest.mark.parametrize(
     "row, fmt", [("series-alpha-4", "json"), ("series-beta-4", "csv")], ids=["lower", "top"]
 )
-def test_verify_series_row_fault_names_quantity(monkeypatch, capsys, row, fmt):
+def test_verify_series_row_fault_names_quantity(monkeypatch, row, fmt):
     # a fault in the lower or top row of the one series pass shows as alpha
     # or beta in every format, with stdout left empty
     fault = FAULTS[row]
     fault.install(monkeypatch.setattr)
-    code = cli.main([*fault.command.split(), "--format", fmt])
-    assert_reported(fault, code, *capsys.readouterr())
+    assert_reported(fault, *redirected_main(*fault.command.split(), "--format", fmt))
 
 
-def test_internal_value_error_is_not_a_usage_error(monkeypatch, capsys):
+def test_internal_value_error_is_not_a_usage_error(monkeypatch):
     # only DomainError means bad input; any other ValueError is a fault
     def boom(order):
         raise ValueError("internal fault")
@@ -256,13 +274,13 @@ def test_entry_point_exits_70_on_internal_fault(monkeypatch, capsys):
 # --- series -----------------------------------------------------------------
 
 
-def test_series_bad_d_rejected_before_the_tree(monkeypatch, capsys):
+def test_series_bad_d_rejected_before_the_tree(monkeypatch):
     # at order 700 the tree alone takes seconds; a bad d must not wait for it
     def boom(order):
         raise AssertionError("the tree was built")
 
     monkeypatch.setattr(kernels, "tree_egf", boom)
-    code, out, err = main_out(capsys, "series", "geom", "--order", "700", "--d", "0")
+    code, out, err = redirected_main("series", "geom", "--order", "700", "--d", "0")
     assert code == 2
     assert out == ""
     assert err == "error: geom_power requires d >= 1, got 0\n"
@@ -271,22 +289,22 @@ def test_series_bad_d_rejected_before_the_tree(monkeypatch, capsys):
 # --- bench ------------------------------------------------------------------
 
 
-def test_bench_reports_disagreement(monkeypatch, capsys):
+def test_bench_reports_disagreement(monkeypatch):
     # the brute s_3 one too large at n = 5; a disagreement is reported,
     # never asserted
     FAULTS["brute-beta-5-from-1"].install(monkeypatch.setattr)
     args = ("bench", "--n-max", "6", "--d", "3", "--repetitions", "1")
-    code, out, _ = main_out(capsys, *args)
+    code, out, _ = redirected_main(*args)
     assert code == 0
     assert "values agree across routes: NO" in out
-    code, out, _ = main_out(capsys, *args, "--format", "json")
+    code, out, _ = redirected_main(*args, "--format", "json")
     assert code == 0
     assert json.loads(out.splitlines()[-1]) == {"values_agree": False}
 
 
-def test_bench_notes_brute_route_admitted_nothing(monkeypatch, capsys):
+def test_bench_notes_brute_route_admitted_nothing(monkeypatch):
     monkeypatch.setattr(identity, "brute_force_admitted", lambda *args: False)
-    code, out, _ = main_out(capsys, "bench", "--n-max", "3", "--repetitions", "1")
+    code, out, _ = redirected_main("bench", "--n-max", "3", "--repetitions", "1")
     assert code == 0
     assert out.splitlines()[-2:] == [
         "values agree across routes: yes",
@@ -295,14 +313,6 @@ def test_bench_notes_brute_route_admitted_nothing(monkeypatch, capsys):
 
 
 # --- stdout and stderr in the order written ----------------------------------
-
-
-def interleaved_main(*args: str) -> tuple[int, str]:
-    # stdout and stderr into one buffer, so a line's stream position shows
-    both = io.StringIO()
-    with contextlib.redirect_stdout(both), contextlib.redirect_stderr(both):
-        code = cli.main(list(args))
-    return code, both.getvalue()
 
 
 @pytest.mark.parametrize(
@@ -316,7 +326,7 @@ def interleaved_main(*args: str) -> tuple[int, str]:
 def test_stderr_follows_the_rows(command, rows, last):
     # the golden corpus pins each stream apart, and these stdouts as `rows`
     # lines; here the one stderr line must come after all of them
-    code, text = interleaved_main(*shlex.split(command))
+    code, text = redirected_main(*shlex.split(command), merge=True)
     assert code == 0
     assert text.splitlines()[rows:] == [last]
 

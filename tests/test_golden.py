@@ -18,9 +18,7 @@ add a command, add a line ``{"argv": [...]}`` and regenerate.  A change
 that alters an entry names it in CHANGES.md and says why.
 """
 
-import contextlib
 import hashlib
-import io
 import json
 import re
 import shlex
@@ -28,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from lacasse import cli
+from test_cli import redirected_main
 
 GOLDEN = Path(__file__).with_name("golden.json")
 SHORT = 400  # stdout up to this many bytes is kept as text
@@ -41,10 +39,7 @@ ENTRIES = json.loads(GOLDEN.read_text())
 
 def run(argv: list[str]) -> dict:
     """One corpus entry: argv run through cli.main, stdout and stderr apart."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    out, err = out.getvalue(), err.getvalue()
+    code, out, err = redirected_main(*argv)
     if argv[0] == "bench":
         out, err = MEDIAN.sub("<median>", out), MEDIAN.sub("<median>", err)
     data = out.encode()
