@@ -21,7 +21,7 @@ and ``bench``, through ``statistics``, load ``decimal`` with
 import argparse
 import sys
 import time
-from functools import cache, partial
+from functools import cache
 
 from . import identity
 from . import series as series_mod
@@ -52,12 +52,13 @@ def _cell(x):
     return x
 
 
-def _emit(fmt: str, rows, plain, fields=CSV_FIELDS) -> None:
+def _emit(fmt: str, rows, plain, fields=CSV_FIELDS, after=()) -> None:
     """Write each row as it is drawn: its ``plain`` line, JSON object or CSV ``fields``.
 
-    Every DomainError and ConsistencyError is raised before the first row, so
-    exits 1 and 2 leave stdout empty; only an internal crash (exit 70) can
-    leave rows on it.
+    Then each line of ``after``: to stdout under ``plain``, and to stderr
+    otherwise, so JSON and CSV stdout stay pure.  Every DomainError and
+    ConsistencyError is raised before the first row, so exits 1 and 2 leave
+    stdout empty; only an internal crash (exit 70) can leave rows on it.
     """
     out = sys.stdout
     if fmt == "plain":
@@ -75,6 +76,8 @@ def _emit(fmt: str, rows, plain, fields=CSV_FIELDS) -> None:
         writer = csv.writer(out, quoting=csv.QUOTE_ALL, lineterminator="\n")
         for row in rows:
             writer.writerow([_cell(row[field]) for field in fields])
+    for line in after:
+        print(line, file=out if fmt == "plain" else sys.stderr)
 
 
 def _parse_routes(raw: str) -> tuple[str, ...]:
@@ -112,15 +115,13 @@ def cmd_verify(args) -> int:
              expected=exact_str(rep.expected))
         for rep in reports
     )
+    failed = sum(1 for rep in reports if not rep.passed)
+    summary = f"verify [{args.from_},{args.to}]: {len(reports) - failed}/{len(reports)} passed"
     _emit(args.format, rows, lambda r: (
         f"n={r['n']} alpha={r['alpha']} beta={r['beta']} diff={r['value']} "
         f"expected={r['expected']} routes={','.join(r['routes'])} "
         f"{'PASS' if r['passed'] else 'FAIL'}"
-    ))
-    failed = sum(1 for rep in reports if not rep.passed)
-    summary = f"verify [{args.from_},{args.to}]: {len(reports) - failed}/{len(reports)} passed"
-    # after the rows; on stderr unless plain, so JSON and CSV stdout stay pure
-    print(summary, file=sys.stdout if args.format == "plain" else sys.stderr)
+    ), after=[summary])
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
@@ -149,19 +150,9 @@ def cmd_series(args) -> int:
     return EXIT_OK
 
 
-def _median_time(fn, repetitions: int) -> tuple[float, object]:
+def cmd_bench(args) -> int:
     import statistics  # only bench times anything
 
-    times = []
-    result = None
-    for _ in range(repetitions):
-        t0 = time.perf_counter()
-        result = fn()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times), result
-
-
-def cmd_bench(args) -> int:
     if args.repetitions < 1:
         raise DomainError(f"repetitions must be >= 1, got {args.repetitions}")
     if args.n_max < 1:
@@ -170,30 +161,26 @@ def cmd_bench(args) -> int:
     rows = []
     tables = {}
     for route in ("closed", "series", "brute"):  # closed first: s_d_closed rejects a bad d
-        build = partial(identity.route_table, route, 1, n_max, (d,))
-        median, tables[route] = _median_time(build, args.repetitions)
-        rows.append(
-            dict(route=route, median_seconds=median, n_max=n_max, d=d, repetitions=args.repetitions)
-        )
+        times = []
+        for _ in range(args.repetitions):
+            t0 = time.perf_counter()
+            tables[route] = identity.route_table(route, 1, n_max, (d,))
+            times.append(time.perf_counter() - t0)
+        rows.append(dict(route=route, median_seconds=statistics.median(times), n_max=n_max, d=d,
+                         repetitions=args.repetitions))
     closed = tables["closed"]
     agree = all(row == closed[n] for table in tables.values() for n, row in table.items())
-    verdict = f"values agree across routes: {'yes' if agree else 'NO'}"
-
-    if args.format == "plain":
+    after = [f"values agree across routes: {'yes' if agree else 'NO'}"]
+    if args.format == "json":
+        rows.append({"values_agree": agree})
+        after = []
+    elif args.format == "plain":
         print(f"s_d benchmark: d={d}, n=1..{n_max}, {args.repetitions} repetition(s), "
               "median wall times")
-    _emit(args.format, rows, lambda r: f"  {r['route']:<6}  {r['median_seconds']:.6f}s",
-          fields=("route", "median_seconds"))
-    if args.format == "plain":
-        print(verdict)
         if not tables["brute"]:
-            print("note: brute-force route admitted no n at this cutoff")
-    elif args.format == "json":
-        import json
-
-        print(json.dumps({"values_agree": agree}))
-    else:
-        print(verdict, file=sys.stderr)  # stdout stays pure CSV, as in verify
+            after.append("note: brute-force route admitted no n at this cutoff")
+    _emit(args.format, rows, lambda r: f"  {r['route']:<6}  {r['median_seconds']:.6f}s",
+          fields=("route", "median_seconds"), after=after)
     return EXIT_OK
 
 

@@ -263,13 +263,12 @@ def verify_lacasse(
 ) -> VerificationReport:
     """Check beta(n) - alpha(n) = n^(n+1) across every admitted route.
 
+    This is ``verify_range(n, n, routes, cutoff)[0]``, errors included.
     The closed forms are always evaluated; the brute-force route is used
     when requested and below the cutoff; the series route when requested.
     Route disagreement or an identity miss raises (either one means a bug
     somewhere in the arithmetic, since the identity is a theorem).
     """
-    if n < 1:
-        raise DomainError(f"verify_lacasse requires n >= 1, got {n}")
     return verify_range(n, n, routes, cutoff)[0]
 
 

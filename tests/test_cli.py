@@ -31,11 +31,16 @@ from test_faults import FAULTS, assert_reported
 
 
 def run_cli(
-    *args: str, site: Path | None = None, env_vars: dict | None = None, timeout: float = 300
+    *args: str,
+    site: Path | None = None,
+    env_vars: dict | None = None,
+    timeout: float = 300,
+    code: str | None = None,
 ) -> subprocess.CompletedProcess:
     # site: a directory put first on the child's path, as for a sitecustomize.py;
     # env_vars: variables to set in the child, or with None to unset; past
-    # timeout seconds the child is killed and TimeoutExpired raised
+    # timeout seconds the child is killed and TimeoutExpired raised; code:
+    # run `python -S -c code *args` in place of `python -m lacasse *args`
     env = os.environ.copy()
     src = str(Path(lacasse.__file__).resolve().parents[1])
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -47,7 +52,7 @@ def run_cli(
         else:
             env[key] = value
     return subprocess.run(
-        [sys.executable, "-m", "lacasse", *args],
+        [sys.executable, *(("-S", "-c", code) if code else ("-m", "lacasse")), *args],
         capture_output=True,
         text=True,
         env=env,
@@ -303,6 +308,14 @@ def test_bench_reports_disagreement(monkeypatch):
 
 
 def test_bench_notes_brute_route_admitted_nothing(monkeypatch):
+    # at d = 3000000 the cutoff admits no n; the note is plain's alone
+    args = ("bench", "--n-max", "2", "--d", "3000000", "--repetitions", "1")
+    code, out, err = redirected_main(*args, "--format", "csv")
+    assert code == 0 and "note:" not in out + err
+    assert err == "values agree across routes: yes\n"
+    code, out, err = redirected_main(*args, "--format", "json")
+    assert code == 0 and "note:" not in out + err
+    assert json.loads(out.splitlines()[-1]) == {"values_agree": True}
     monkeypatch.setattr(identity, "brute_force_admitted", lambda *args: False)
     code, out, _ = redirected_main("bench", "--n-max", "3", "--repetitions", "1")
     assert code == 0
@@ -415,14 +428,13 @@ def test_subprocess_full_digits_under_any_int_str_limit(command):
 # loads one first
 IMPORT_SET_CODE = """
 import sys
-sys.path.insert(0, sys.argv[1])
 from lacasse import cli
 watched = (
     "json", "csv", "traceback", "decimal", "fractions",
     "concurrent.futures", "multiprocessing", "dataclasses", "__future__",
 )
 report = []
-for command in sys.argv[2:]:
+for command in sys.argv[1:]:
     code = cli.main(command.split())
     report.append((code, [m for m in watched if m in sys.modules]))
 import os
@@ -433,13 +445,7 @@ print(repr((report, os.cpu_count())))
 def loaded_after(*commands: str) -> tuple[list[tuple[int, list[str]]], int | None]:
     """Run ``commands`` in turn in one fresh process; after each, its exit
     code and which watched modules are loaded, and the process's CPU count."""
-    src = str(Path(lacasse.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", IMPORT_SET_CODE, src, *commands],
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
+    proc = run_cli(*commands, code=IMPORT_SET_CODE)
     assert proc.returncode == 0, proc.stderr
     return ast.literal_eval(proc.stdout.splitlines()[-1])
 
@@ -509,7 +515,6 @@ def test_subprocess_loads_decimal_and_fractions_only_where_used(commands, expect
 
 CRASH_CODE = """
 import sys
-sys.path.insert(0, sys.argv[1])
 from lacasse import cli, kernels
 
 def boom(order):
@@ -517,7 +522,7 @@ def boom(order):
 
 kernels.tree_egf = boom
 print("traceback loaded before the crash:", "traceback" in sys.modules)
-sys.argv = ["lacasse", "series", "tree", "--order", "3"]
+sys.argv = ["lacasse", *sys.argv[1:]]
 cli.main_entry()
 """
 
@@ -525,13 +530,7 @@ cli.main_entry()
 def test_subprocess_crash_imports_traceback_and_exits_70():
     # the in-process twin cannot see the import on the crash path: pytest
     # has loaded traceback long before
-    src = str(Path(lacasse.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", CRASH_CODE, src],
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
+    proc = run_cli("series", "tree", "--order", "3", code=CRASH_CODE)
     assert proc.returncode == 70, proc.stderr
     assert proc.stdout == "traceback loaded before the crash: False\n"
     assert "Traceback" in proc.stderr

@@ -291,8 +291,10 @@ def test_verify_examples():
 
 
 def test_verify_rejects_bad_input():
-    with pytest.raises(DomainError):
-        verify_lacasse(0)
+    for n in (0, -3):  # verify_range's own message
+        message = rf"^invalid range \[{n}, {n}\]; need 1 <= from <= to$"
+        with pytest.raises(DomainError, match=message):
+            verify_lacasse(n)
     with pytest.raises(DomainError):
         verify_lacasse(3, routes=("closed", "magic"))
 
