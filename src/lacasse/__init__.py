@@ -8,8 +8,7 @@ integers and rationals).
 
 from .exact import *
 from .identity import *
-from .series import *
 
 __version__ = "0.1.0"
 
-__all__ = [*exact.__all__, *identity.__all__, *series.__all__]
+__all__ = [*exact.__all__, *identity.__all__]

@@ -24,7 +24,6 @@ import time
 from functools import cache
 
 from . import identity
-from . import series as series_mod
 from .exact import DomainError, exact_str
 
 EXIT_OK = 0
@@ -109,15 +108,17 @@ def cmd_verify(args) -> int:
     reports = identity.verify_range(
         args.from_, args.to, routes=routes, cutoff=args.brute_cutoff, jobs=args.jobs
     )
-    rows = (
-        _row(rep.n, "diff", None, exact_str(rep.difference), rep.passed, rep.routes_compared,
-             alpha=exact_str(rep.alpha), beta=exact_str(rep.beta),
-             expected=exact_str(rep.expected))
-        for rep in reports
-    )
+
+    def rows():
+        for rep in reports:
+            diff = exact_str(rep.difference)  # a passed report's expected is the same int
+            expected = diff if rep.expected == rep.difference else exact_str(rep.expected)
+            yield _row(rep.n, "diff", None, diff, rep.passed, rep.routes_compared,
+                       alpha=exact_str(rep.alpha), beta=exact_str(rep.beta), expected=expected)
+
     failed = sum(1 for rep in reports if not rep.passed)
     summary = f"verify [{args.from_},{args.to}]: {len(reports) - failed}/{len(reports)} passed"
-    _emit(args.format, rows, lambda r: (
+    _emit(args.format, rows(), lambda r: (
         f"n={r['n']} alpha={r['alpha']} beta={r['beta']} diff={r['value']} "
         f"expected={r['expected']} routes={','.join(r['routes'])} "
         f"{'PASS' if r['passed'] else 'FAIL'}"
@@ -131,12 +132,12 @@ def cmd_series(args) -> int:
     order = args.order
     if args.which == "geom" and args.d < 1:  # before the tree, seconds at large order
         raise DomainError(f"geom_power requires d >= 1, got {args.d}")
-    tree = series_mod.tree_series(order)
+    tree = identity.tree_series(order)
     if args.which == "tree":
         label, d, s = "tree", None, tree
     else:
         label, d = "geom", args.d
-        s = series_mod.geom_power(tree, args.d)
+        s = identity.geom_power(tree, args.d)
 
     def rows():
         f = 1  # m!, the only division out of the n!-scaled vector
@@ -247,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except series_mod.ConsistencyError as exc:
+    except identity.ConsistencyError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
 

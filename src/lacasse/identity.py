@@ -1,6 +1,6 @@
-"""Closed forms for alpha, beta and the general d-part sum, the Lacasse
-identity verifier over the closed, brute-force and series routes, and
-Ramanujan's Q-function.
+"""Closed forms for alpha, beta and the general d-part sum, the tree
+function's series and its powers, the Lacasse identity verifier over the
+closed, brute-force and series routes, and Ramanujan's Q-function.
 
 The quantities, for n >= 0 (0^0 == 1 throughout):
 
@@ -12,29 +12,40 @@ The quantities, for n >= 0 (0^0 == 1 throughout):
 
 and the identity under test is beta(n) - alpha(n) = n^(n+1), equivalently
 xi2(n) = xi(n) + n after dividing by n^n.
+
+A series is a tuple of ints truncated at a fixed order: entry m holds m!
+times the coefficient of z^m (the series' exponential-generating-function
+entry).  The tree function y(z) (the solution of y = z*e^y) and every
+power of 1/(1 - y) have integer entries in this form, so the series route
+to alpha, beta and the general d-part sums never leaves the integers.
+
+Every verification failure is a ConsistencyError raised here, and this
+module is the one caller of ``kernels``.
 """
 
 import os
 from collections import namedtuple
+from collections.abc import Sequence
 from functools import partial
 from itertools import accumulate, repeat
 from math import comb
 
 from . import kernels
-from . import series as _series
 from .exact import DomainError, exact_str
-from .series import ConsistencyError
 
 __all__ = [
+    "ConsistencyError",
     "DEFAULT_BRUTE_CUTOFF",
     "IdentityFailureError",
     "RouteDisagreementError",
     "VerificationReport",
     "alpha_closed",
     "beta_closed",
+    "geom_power",
     "ramanujan_q",
     "s_d_closed",
     "telescoping_difference",
+    "tree_series",
     "verify_lacasse",
     "verify_range",
     "xi",
@@ -46,6 +57,15 @@ ALL_ROUTES = ("closed", "brute", "series")
 # Brute force is dropped (never errors) once the enumeration would exceed
 # this many weak compositions.
 DEFAULT_BRUTE_CUTOFF = 2_000_000
+
+
+class ConsistencyError(RuntimeError):
+    """Two independent constructions of the same value disagreed.
+
+    The one verification failure: the CLI reports it, and its subclasses
+    below, as exit 1.  This never fires on correct code; it signals an
+    arithmetic bug, not a property of the input.
+    """
 
 
 class RouteDisagreementError(ConsistencyError):
@@ -272,6 +292,42 @@ def verify_lacasse(
     return verify_range(n, n, routes, cutoff)[0]
 
 
+def tree_series(order: int) -> tuple[int, ...]:
+    """The tree function y(z) = sum_{n>=1} n^(n-1) z^n / n! to the given order.
+
+    Returns (0, 1, 2, 9, 64, ...): entry n is n^(n-1), the number of rooted
+    labeled trees on n vertices.  Built two independent ways on every call:
+    the explicit formula and the recurrence solving y = z * exp(y) one
+    coefficient at a time.  A mismatch raises ConsistencyError, since every
+    downstream result leans on this series.
+    """
+    if order < 0:
+        raise DomainError(f"order must be >= 0, got {order}")
+    formula = [0] + [n ** (n - 1) for n in range(1, order + 1)]
+    fixed_point = kernels.tree_egf(order)
+    if formula != fixed_point:
+        bad = next(i for i in range(order + 1) if formula[i] != fixed_point[i])
+        raise ConsistencyError(
+            f"tree series constructions disagree at z^{bad}: "
+            f"formula {exact_str(formula[bad])}, fixed point {exact_str(fixed_point[bad])}"
+        )
+    return tuple(formula)
+
+
+def geom_power(y: Sequence[int], d: int) -> tuple[int, ...]:
+    """(1/(1 - y))^d truncated at len(y) - 1; y needs zero constant term.
+
+    Input and output are n!-scaled integer vectors.  One division-free
+    pass for any d (``egf_geom_power``): no reciprocal, no products of
+    powers.
+    """
+    if d < 1:
+        raise DomainError(f"geom_power requires d >= 1, got {d}")
+    if not y or y[0] != 0:
+        raise DomainError("geom_power requires a zero constant term")
+    return tuple(kernels.egf_geom_power(y, d)[0])
+
+
 def route_table(
     route: str, first: int, last: int, ds, cutoff: int = DEFAULT_BRUTE_CUTOFF
 ) -> dict[int, list[int]]:
@@ -290,7 +346,7 @@ def route_table(
     if route == "closed":
         return {n: [s_d_closed(n, d) for d in ds] for n in window}
     if route == "series":
-        t = _series.tree_series(last)
+        t = tree_series(last)
         powers = {}
         for d in sorted(set(ds), reverse=True):
             if d not in powers:
@@ -360,7 +416,7 @@ def verify_range(
                 n=n,
                 alpha=alpha,
                 beta=beta,
-                difference=difference,
+                difference=expected,  # proved equal: one int serves both
                 expected=expected,
                 routes_compared=tuple(rows),
                 passed=True,

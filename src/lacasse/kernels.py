@@ -1,8 +1,8 @@
 """The integer kernels behind the series and brute-force routes.
 
-``series`` and ``identity`` call these as ``kernels.<fn>``, read as module
-attributes at call time, so rebinding one function here reaches every
-caller: the fault-injection tests break one at a time that way.  The
+``identity``, the one caller, reads these as ``kernels.<fn>`` at call
+time, so rebinding one function here reaches every call: that is the seam
+through which the fault-injection tests break one at a time.  The
 brute route makes one ``comp_power_sum`` call per ``identity.route_table``,
 not one per n, so a wrapper sees the whole window and every round at once.
 

@@ -13,13 +13,14 @@ from lacasse import cli
 from lacasse.identity import (
     alpha_closed,
     beta_closed,
+    geom_power,
     ramanujan_q,
     s_d_closed,
     telescoping_difference,
+    tree_series,
     verify_range,
 )
 from lacasse.kernels import comp_power_sum
-from lacasse.series import geom_power, tree_series
 from oracles import alpha_direct, comp_sum, exp_trunc, mul, to_fractions, z
 from test_cli import run_cli
 

@@ -209,7 +209,10 @@ def test_verify_failure_exit_code(monkeypatch):
     monkeypatch.setattr(identity, "verify_range", lambda *a, **k: [fake])
     code, out, _ = redirected_main("verify", "--from", "7", "--to", "7")
     assert code == 1
-    assert "FAIL" in out
+    assert out.splitlines() == [
+        "n=7 alpha=1 beta=2 diff=1 expected=5764801 routes=closed FAIL",
+        "verify [7,7]: 0/1 passed",
+    ]
 
 
 def test_verify_brute_cutoff_boundary(monkeypatch):
@@ -347,8 +350,8 @@ def test_stderr_follows_the_rows(command, rows, last):
 @pytest.mark.parametrize(
     "command, rows, per_row",
     [
-        ("verify --from 1 --to 5", 5, 4),
-        ("verify --from 1 --to 5 --format json", 5, 4),
+        ("verify --from 1 --to 5", 5, 3),
+        ("verify --from 1 --to 5 --format json", 5, 3),
         ("series tree --order 5", 6, 2),
     ],
     ids=["verify-plain", "verify-json", "series-plain"],

@@ -17,9 +17,8 @@ from typing import NamedTuple
 
 import pytest
 
-from lacasse import cli, identity, series
-from lacasse.identity import IdentityFailureError, RouteDisagreementError
-from lacasse.series import ConsistencyError
+from lacasse import cli, identity
+from lacasse.identity import ConsistencyError, IdentityFailureError, RouteDisagreementError
 
 PREFIX = "verification failure: "
 
@@ -164,7 +163,7 @@ def library_call(command):
     if args.command == "verify":
         return identity.verify_range(args.from_, args.to, args.routes.split(","))
     if args.command == "series":
-        return series.tree_series(args.order)
+        return identity.tree_series(args.order)
     return identity.telescoping_difference(args.n)  # value diff
 
 

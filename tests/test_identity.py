@@ -12,21 +12,23 @@ from hypothesis import strategies as st
 from lacasse import identity, kernels
 from lacasse.exact import DomainError
 from lacasse.identity import (
+    ConsistencyError,
     IdentityFailureError,
     RouteDisagreementError,
     alpha_closed,
     beta_closed,
     brute_force_admitted,
+    geom_power,
     ramanujan_q,
     s_d_closed,
     telescoping_difference,
+    tree_series,
     verify_lacasse,
     verify_range,
     xi,
     xi2,
 )
 from lacasse.kernels import comp_power_sum
-from lacasse.series import ConsistencyError, geom_power, tree_series
 from oracles import alpha_direct, comp_sum, compositions, q_formula, s_d_formula
 
 F = Fraction
@@ -359,7 +361,7 @@ ROUTE_REACH = {
     "closed": {"identity.s_d_closed", "identity._falling_sum", "identity.block"},
     "brute": {"identity.brute_force_admitted", "kernels.comp_power_sum"},
     "series": {
-        "series.tree_series", "kernels.tree_egf", "kernels.egf_geom_power",
+        "identity.tree_series", "kernels.tree_egf", "kernels.egf_geom_power",
         "kernels._palindrome_dot",
     },
 }

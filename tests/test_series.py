@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 
 from lacasse.exact import DomainError
-from lacasse.series import geom_power, tree_series
+from lacasse.identity import geom_power, tree_series
 from oracles import (
     add,
     exp_trunc,
