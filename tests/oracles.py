@@ -3,11 +3,12 @@
 Deliberately naive and independent of the integer kernels they certify:
 
 * rational series are plain lists of Fractions, index n holding the
-  coefficient of z^n; products truncate to the shorter input;
-* ``egf_mul`` and ``egf_exp`` work on n!-scaled integer vectors straight
-  from the binomial-convolution definitions, with ``math.comb``;
-* ``tree_fixed_point`` is the plain fixed-point iteration of y = z*exp(y)
-  on ``egf_exp``, against ``tree_egf``'s online solve;
+  coefficient of z^n: ``add`` and ``mul`` truncate to the shorter input,
+  and ``exp_trunc`` and ``reciprocal_unit`` solve the defining recurrences
+  term by term;
+* ``to_fractions`` and ``to_egf`` convert between those lists and the
+  package's n!-scaled integer vectors, so every series fact is checked in
+  Fraction arithmetic, not in the kernels' representation;
 * ``compositions`` yields the weak compositions of n into d parts as
   stars-and-bars words, one per choice of d - 1 bar places among
   n + d - 1, and ``comp_sum`` weights each with ``multinomial``, a
@@ -28,7 +29,7 @@ Each oracle is pinned by example tests to known values and compared with a
 ``lacasse`` function. None is property-tested against another oracle or
 against the stdlib: such a test checks code that the package never runs.
 ``test_api.py::test_every_oracle_is_named_by_a_test`` fails if one of them
-is used in no test file.
+is used in no test file, or if this module imports ``lacasse``.
 """
 
 import sys
@@ -108,46 +109,6 @@ def reciprocal_unit(a: list) -> list[Fraction]:
                 acc += a[j] * b[m - j]
         b[m] = -acc
     return b
-
-
-# --- n!-scaled integer vectors --------------------------------------------
-
-
-def egf_mul(u: list, v: list) -> list[int]:
-    """Binomial convolution (EGF product), truncated to the shorter input."""
-    n = min(len(u), len(v)) - 1
-    if n < 0:
-        raise ValueError("egf_mul requires nonempty vectors")
-    return [sum(comb(m, j) * u[j] * v[m - j] for j in range(m + 1)) for m in range(n + 1)]
-
-
-def egf_exp(u: list) -> list[int]:
-    """EGF exponential of a vector whose constant term is 0."""
-    if not u or u[0] != 0:
-        raise ValueError("egf_exp requires constant term 0")
-    g = [1]
-    for m in range(1, len(u)):
-        g.append(sum(comb(m - 1, j - 1) * u[j] * g[m - j] for j in range(1, m + 1)))
-    return g
-
-
-def tree_fixed_point(order: int) -> list[int]:
-    """EGF integers of the tree function by order+1 passes of y <- z*exp(y).
-
-    Pass p is evaluated at truncation order min(p, order): coefficients
-    through p-1 are already exact going in, so the pass can only fix
-    coefficient p.  O(order^3) products.
-    """
-    y = [0] * (order + 1)
-    for p in range(1, order + 2):
-        m = min(p, order)
-        if m == 0:
-            continue
-        g = egf_exp(y[:m])
-        # z-shift in EGF terms: coefficient k of z*s is k * (EGF of s at k-1)
-        for k in range(1, m + 1):
-            y[k] = k * g[k - 1]
-    return y
 
 
 # --- weak compositions ----------------------------------------------------

@@ -124,9 +124,15 @@ def test_scale_rows_are_cli_commands():
 
 def test_every_oracle_is_named_by_a_test():
     # an oracle that no test file names checks nothing; the oracles only
-    # earn their place by being compared with lacasse
+    # earn their place by being compared with lacasse, and never call it
     tests = Path(__file__).resolve().parent
     oracles = ast.parse((tests / "oracles.py").read_text())
+    imports = [
+        ast.unparse(node)
+        for node in ast.walk(oracles)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert [line for line in imports if "lacasse" in line] == []
     defined = {
         node.name for node in oracles.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     }

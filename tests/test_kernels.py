@@ -1,8 +1,8 @@
 """Kernel-level checks.
 
-The oracles in ``oracles.py`` are deliberately naive Fraction arithmetic
-and definitional sums, independent of the integer convolutions they
-certify.
+The references are ``oracles.py``'s naive Fraction series arithmetic and
+its definitional composition sum, plus closed values: Cayley's n^(n-1)
+for the tree. None of them uses the integer convolutions it certifies.
 """
 
 import gc
@@ -14,14 +14,13 @@ from lacasse import kernels
 from oracles import (
     add,
     comp_sum,
-    egf_exp,
-    egf_mul,
+    exp_trunc,
     mul,
     one,
     reciprocal_unit,
     to_egf,
     to_fractions,
-    tree_fixed_point,
+    z,
 )
 
 int_vectors = st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=10)
@@ -42,26 +41,6 @@ def test_egf_geom_power_matches_fraction_oracle(u, d):
     assert kernels.egf_geom_power(u, d, lower=True) == want
 
 
-@given(u=int_vectors)
-def test_egf_geom_power_d1_times_one_minus_u_is_one(u):
-    # the d = 1 power is the reciprocal of 1 - u
-    u = [0] + u[1:]
-    one_minus_u = [1] + [-c for c in u[1:]]
-    one = [1] + [0] * (len(u) - 1)
-    assert egf_mul(kernels.egf_geom_power(u, 1)[0], one_minus_u) == one
-
-
-@given(u=int_vectors, d=st.integers(min_value=1, max_value=6))
-@settings(deadline=None)
-def test_egf_geom_power_matches_repeated_mul(u, d):
-    u = [0] + u[1:]
-    [inv] = kernels.egf_geom_power(u, 1)
-    want = list(inv)
-    for _ in range(d - 1):
-        want = egf_mul(want, inv)
-    assert kernels.egf_geom_power(u, d) == [want]
-
-
 def test_egf_geom_power_pair_is_two_passes_at_order_300():
     # the pair's rows from one pass against a pass of their own each, on
     # the tree, whose entries reach thousands of digits
@@ -72,33 +51,19 @@ def test_egf_geom_power_pair_is_two_passes_at_order_300():
         assert kernels.egf_geom_power(y, d - 1) == [low]
 
 
-def test_tree_egf_small_values():
-    # rooted labeled trees: 1, 2, 9, 64, 625 for n = 1..5
-    assert kernels.tree_egf(5) == [0, 1, 2, 9, 64, 625]
-    assert kernels.tree_egf(0) == [0]
+def test_tree_egf_is_cayley_at_every_order():
+    # rooted labeled trees: n^(n-1) for n >= 1, every order to 80 and 300;
+    # with y[0] = 0 these values are the one solution of y = z*exp(y)
+    cayley = [0] + [n ** (n - 1) for n in range(1, 301)]
+    assert cayley[:6] == [0, 1, 2, 9, 64, 625]
+    for k in [*range(81), 300]:
+        assert kernels.tree_egf(k) == cayley[: k + 1]
 
 
 def test_tree_egf_satisfies_functional_equation():
-    # y = z*exp(y) in EGF terms: y[k] == k * exp(y)[k-1]
-    y = kernels.tree_egf(40)
-    g = egf_exp(y[:40])
-    for k in range(1, 41):
-        assert y[k] == k * g[k - 1]
-
-
-def test_tree_egf_matches_fixed_point_oracle():
-    # the fixed point to order 80 holds every lower order as its prefix,
-    # so one O(order^3) build checks all 81 orders
-    oracle = tree_fixed_point(80)
-    for k in range(81):
-        assert kernels.tree_egf(k) == oracle[: k + 1]
-
-
-def test_tree_egf_matches_formula_at_large_order():
-    y = kernels.tree_egf(300)
-    assert y[0] == 0
-    for n in range(1, 301):
-        assert y[n] == n ** (n - 1)
+    # y = z*exp(y), in the Fraction arithmetic of the oracles
+    y = to_fractions(kernels.tree_egf(40))
+    assert mul(z(40), exp_trunc(y)) == y
 
 
 def test_comp_power_sum_examples():

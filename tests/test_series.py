@@ -1,5 +1,6 @@
+"""The series route: the tree series, its powers and their entries, against Fraction oracles."""
+
 from fractions import Fraction
-from math import factorial
 
 import pytest
 
@@ -17,11 +18,6 @@ from oracles import (
 )
 
 F = Fraction
-
-
-def _egf_z(order: int) -> tuple[int, ...]:
-    # the monomial z as an n!-scaled vector
-    return tuple(1 if m == 1 else 0 for m in range(order + 1))
 
 
 def test_constructor_rejects_negative_order_and_empty():
@@ -42,8 +38,9 @@ def test_indexing_bounds():
 # --- the rational oracle arithmetic the checks below lean on --------------
 # Pinned here by examples and compared with lacasse elsewhere: add, mul and
 # reciprocal_unit by the geom_power tests below, exp_trunc by acceptance
-# criterion 6. Never property-tested against another oracle or against
-# fractions, which would test code that the package never runs.
+# criterion 6 and test_kernels' functional equation. Never property-tested
+# against another oracle or against fractions, which would test code that
+# the package never runs.
 
 
 def test_add_examples():
@@ -109,46 +106,8 @@ def test_geom_power_of_zero_is_one():
 
 def test_geom_power_of_z_d2_is_arithmetic_series():
     # 1/(1-z)^2 = sum (k+1) z^k
-    s = geom_power(_egf_z(6), 2)
+    s = geom_power(to_egf(z(6)), 2)
     assert to_fractions(s) == [k + 1 for k in range(7)]
-
-
-def _geom_sum_oracle(y: list, d: int) -> list:
-    # 1/(1-y) as the plain truncated sum of y^k (y has valuation >= 1),
-    # then d-fold repeated multiplication
-    order = len(y) - 1
-    total = one(order)
-    power = one(order)
-    for _ in range(order):
-        power = mul(power, y)
-        total = add(total, power)
-    result = total
-    for _ in range(d - 1):
-        result = mul(result, total)
-    return result
-
-
-def test_geom_power_matches_geometric_sum_oracle():
-    for y in (tree_series(12), _egf_z(8)):
-        for d in range(1, 4):
-            want = _geom_sum_oracle(to_fractions(y), d)
-            assert to_fractions(geom_power(y, d)) == want
-
-
-def test_geom_power_inversion_invariant():
-    y = to_fractions(tree_series(50))
-    inv = to_fractions(geom_power(tree_series(50), 1))
-    assert mul(inv, add(one(50), [-c for c in y])) == one(50)
-    assert inv == reciprocal_unit(add(one(50), [-c for c in y]))
-
-
-def test_geom_power_consistency_with_repeated_mul():
-    y = tree_series(25)
-    base = to_fractions(geom_power(y, 1))
-    acc = base
-    for d in range(2, 5):
-        acc = mul(acc, base)
-        assert to_fractions(geom_power(y, d)) == acc
 
 
 def test_geom_power_egf_integrality():
@@ -194,10 +153,3 @@ def test_geom_power_entry_examples():
     t = tree_series(3)
     assert geom_power(t, 2)[2] == 10  # alpha(2)
     assert geom_power(t, 1)[3] == 27  # 3^3
-
-
-def test_geom_power_entries_scale_by_factorial():
-    s = geom_power(tree_series(8), 3)
-    coeffs = _geom_sum_oracle(to_fractions(tree_series(8)), 3)
-    for n in range(9):
-        assert s[n] == factorial(n) * coeffs[n]
