@@ -51,13 +51,20 @@ def test_egf_geom_power_pair_is_two_passes_at_order_300():
         assert kernels.egf_geom_power(y, d - 1) == [low]
 
 
-def test_tree_egf_is_cayley_at_every_order():
-    # rooted labeled trees: n^(n-1) for n >= 1, every order to 80 and 300;
-    # with y[0] = 0 these values are the one solution of y = z*exp(y)
-    cayley = [0] + [n ** (n - 1) for n in range(1, 301)]
-    assert cayley[:6] == [0, 1, 2, 9, 64, 625]
-    for k in [*range(81), 300]:
-        assert kernels.tree_egf(k) == cayley[: k + 1]
+def _cayley(k):
+    # rooted labeled trees: n^(n-1) for n >= 1; with y[0] = 0 these values
+    # are the one solution of y = z*exp(y)
+    return [0] + [n ** (n - 1) for n in range(1, k + 1)]
+
+
+def test_tree_egf_small_values():
+    assert _cayley(5) == [0, 1, 2, 9, 64, 625]
+    for k in range(81):
+        assert kernels.tree_egf(k) == _cayley(k)
+
+
+def test_tree_egf_matches_formula_at_large_order():
+    assert kernels.tree_egf(300) == _cayley(300)
 
 
 def test_tree_egf_satisfies_functional_equation():
