@@ -6,7 +6,8 @@ range, machine-readable, parallelizable), ``series`` (coefficient tables),
 
 Exit codes: 0 success, 1 verification failure (an arithmetic bug, the
 identity being a theorem), 2 usage or domain error, 70 (EX_SOFTWARE) an
-internal fault that escaped ``main``.  Exact values print as
+internal fault that escaped ``main``, 141 (128 + SIGPIPE) a reader that
+closed stdout early, with nothing on stderr.  Exact values print as
 full decimal strings, rationals as p/q; never scientific notation.
 Only ``--format json`` loads ``json``, only ``--format csv`` loads ``csv``,
 and only a crash loads ``traceback``.  Ints of any size print by
@@ -19,6 +20,7 @@ and ``bench``, through ``statistics``, load ``decimal`` with
 """
 
 import argparse
+import os
 import sys
 import time
 from functools import cache
@@ -30,6 +32,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CRASH = 70
+EXIT_PIPE = 141
 
 FORMATS = ("plain", "json", "csv")
 VALUE_QUANTITIES = ("alpha", "beta", "s_d", "q", "xi", "xi2", "diff")
@@ -257,6 +260,12 @@ def main_entry() -> None:
     # a crash must not exit 1, which means the identity check failed
     try:
         code = main()
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        # a reader that stops early is normal use; the rest goes to devnull,
+        # so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_PIPE
     except Exception:
         import traceback  # only a crash prints one
 

@@ -71,7 +71,7 @@ def _palindrome_dot(row: list, x: list) -> int:
     """sum_j row[j] x[j] for a row with row[j] == row[-1-j]: the terms j and
     len(row) - 1 - j share a weight, so each pair takes one product."""
     h = len(row) // 2
-    s = sum(map(mul, row, map(add, x[:h], x[: -h - 1 : -1])))
+    s = sum(map(mul, row, map(add, x[:h], reversed(x))))  # map stops after h
     if len(row) % 2:
         s += row[h] * x[h]
     return s

@@ -30,34 +30,26 @@ from oracles import str_unlimited
 from test_faults import FAULTS, assert_reported
 
 
-def run_cli(
-    *args: str,
-    site: Path | None = None,
-    env_vars: dict | None = None,
-    timeout: float = 300,
-    code: str | None = None,
-) -> subprocess.CompletedProcess:
-    # site: a directory put first on the child's path, as for a sitecustomize.py;
-    # env_vars: variables to set in the child, or with None to unset; past
-    # timeout seconds the child is killed and TimeoutExpired raised; code:
-    # run `python -S -c code *args` in place of `python -m lacasse *args`
+def child(*args: str, site: Path | None = None, code: str | None = None) -> dict:
+    """The keywords that make subprocess run ``python -m lacasse *args`` on
+    this package's path, in text mode.  site: a directory put first on the
+    child's path, as for a sitecustomize.py; code: run ``python -S -c code
+    *args`` in place of ``python -m lacasse *args``."""
     env = os.environ.copy()
     src = str(Path(lacasse.__file__).resolve().parents[1])
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     if site is not None:
         env["PYTHONPATH"] = str(site) + os.pathsep + env["PYTHONPATH"]
-    for key, value in (env_vars or {}).items():
-        if value is None:
-            env.pop(key, None)
-        else:
-            env[key] = value
-    return subprocess.run(
-        [sys.executable, *(("-S", "-c", code) if code else ("-m", "lacasse")), *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=timeout,
-    )
+    argv = [sys.executable, *(("-S", "-c", code) if code else ("-m", "lacasse")), *args]
+    return dict(args=argv, env=env, text=True)
+
+
+def run_cli(
+    *args: str, site: Path | None = None, timeout: float = 300, code: str | None = None
+) -> subprocess.CompletedProcess:
+    # past timeout seconds the child is killed and TimeoutExpired raised
+    return subprocess.run(**child(*args, site=site, code=code), capture_output=True,
+                          timeout=timeout)
 
 
 def redirected_main(*args: str, merge: bool = False) -> tuple:
@@ -193,6 +185,37 @@ def test_verify_large_n_full_digits(fmt):
         assert list(csv.reader(io.StringIO(out))) == [
             ["n", "quantity", "d", "value", "passed"]
         ] + [[str(n), "diff", "", d, "true"] for n, a, b, d in rows]
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+@pytest.mark.parametrize(
+    "command",
+    [
+        "value alpha 2000",
+        "value alpha 5000",
+        "value q 2000",
+        "verify --from 1500 --to 1501 --routes closed",
+    ],
+)
+def test_subprocess_full_digits_under_any_int_str_limit(command):
+    # past 4300 digits, printed in process with the limit at its default,
+    # at 640 (the lowest Python accepts) and lifted (0): ints print as
+    # pieces of at most 600 digits, so every limit gives the same bytes and
+    # none raises
+    old = sys.get_int_max_str_digits()
+    runs = []
+    try:
+        for limit in (sys.int_info.default_max_str_digits, 640, 0):
+            sys.set_int_max_str_digits(limit)
+            runs.append(redirected_main(*command.split()))
+    finally:
+        sys.set_int_max_str_digits(old)
+    code, out, err = runs[0]
+    assert (code, err) == (0, "")
+    assert max(map(len, out.replace("/", " ").split())) > 4300
+    assert runs[1:] == [runs[0]] * 2
 
 
 # --- verify -----------------------------------------------------------------
@@ -378,54 +401,6 @@ def test_rows_are_written_as_they_are_made(monkeypatch, command, rows, per_row):
 # --- subprocess end-to-end ---------------------------------------------------
 
 
-def test_subprocess_usage_error_exit_2():
-    proc = run_cli("value", "xi", "0")
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-
-
-def test_subprocess_help_exit_0():
-    proc = run_cli("--help")
-    assert proc.returncode == 0
-    assert "verify" in proc.stdout
-
-
-def test_subprocess_verify_jobs_independence():
-    base = run_cli("verify", "--from", "1", "--to", "10", "--format", "json")
-    twin = run_cli(
-        "verify", "--from", "1", "--to", "10", "--format", "json", "--jobs", "3"
-    )
-    assert base.returncode == 0 and twin.returncode == 0
-    assert base.stdout == twin.stdout
-    assert base.stderr == twin.stderr
-
-
-@pytest.mark.parametrize(
-    "command",
-    [
-        "value alpha 2000",
-        "value alpha 5000",
-        "value q 2000",
-        "verify --from 1500 --to 1501 --routes closed",
-    ],
-)
-def test_subprocess_full_digits_under_any_int_str_limit(command):
-    # past 4300 digits, printed through the entry point with the limit at
-    # its default, at 640 (the lowest Python accepts) and lifted (0): ints
-    # print as pieces of at most 600 digits, so every limit gives the same
-    # bytes and none raises
-    runs = {
-        limit: run_cli(*command.split(), env_vars={"PYTHONINTMAXSTRDIGITS": limit})
-        for limit in (None, "640", "0")
-    }
-    default = runs[None]
-    assert default.returncode == 0 and default.stderr == ""
-    assert max(map(len, default.stdout.replace("/", " ").split())) > 4300
-    for limit in ("640", "0"):
-        run = runs[limit]
-        assert (run.returncode, run.stderr, run.stdout) == (0, "", default.stdout), limit
-
-
 # reads sys.modules before it imports anything itself, so every watched
 # module it reports was loaded by lacasse; run with -S, so no site hook
 # loads one first
@@ -472,48 +447,41 @@ def test_subprocess_loads_the_pool_only_for_jobs():
         assert "concurrent.futures" in report[3][1]
 
 
-@pytest.mark.parametrize(
-    "commands, expected",
-    [
-        (("verify --from 1 --to 5", "value alpha 50", "series geom --order 4 --d 3"), set()),
-        (("value alpha 7 --format json",), {"json"}),
-        (("bench --n-max 4 --repetitions 1 --format json",), {"json"}),
-        (("value alpha 7 --format csv",), {"csv"}),
-        (("verify --from 1 --to 5 --format csv",), {"csv"}),
-    ],
-    ids=["plain", "value-json", "bench-json", "value-csv", "verify-csv"],
-)
-def test_subprocess_loads_json_csv_and_traceback_only_where_used(commands, expected):
-    # each writer is imported by the one format that writes with it, and
-    # traceback only by a crash
-    report, _ = loaded_after(*commands)
-    assert [code for code, _ in report] == [0] * len(commands)
-    assert {"json", "csv", "traceback"} & set(report[-1][1]) == expected
+FRACTIONS = {"decimal", "fractions"}
 
 
 @pytest.mark.parametrize(
     "commands, expected",
     [
         (("verify --from 1 --to 5", "value alpha 50", "value s_d 50 --d 4"), set()),
-        (("value q 50",), {"decimal", "fractions"}),
-        (("value xi 50",), {"decimal", "fractions"}),
-        (("series geom --order 4 --d 3",), {"decimal", "fractions"}),
+        (("value q 50",), FRACTIONS),
+        (("value xi 50",), FRACTIONS),
+        (("series geom --order 4 --d 3",), FRACTIONS),
         # exact_str splits alpha(2000)'s 6,604 digits on int powers of ten
         # and imports nothing, but from Python 3.12 CPython's own divmod
         # hands a quotient that large to _pylong, which imports decimal
         (("value alpha 2000",), {"decimal"} if sys.version_info >= (3, 12) else set()),
+        (("value alpha 7 --format json",), {"json"}),
+        (("bench --n-max 4 --repetitions 1 --format json",), {"json"} | FRACTIONS),
+        (("value alpha 7 --format csv",), {"csv"}),
+        (("verify --from 1 --to 5 --format csv",), {"csv"}),
     ],
-    ids=["int-values", "value-q", "value-xi", "series", "past-str-limit"],
+    ids=["int-values", "value-q", "value-xi", "series", "past-str-limit",
+         "value-json", "bench-json", "value-csv", "verify-csv"],
 )
 def test_subprocess_loads_decimal_and_fractions_only_where_used(commands, expected):
-    # only a command that builds a Fraction loads fractions, which imports
-    # decimal itself; exact_str loads neither to print an int.  The process
-    # first runs an int command, which must load neither, so the last
-    # command is what loads the expected set.
+    # each of the five modules only where used: json and csv by the one
+    # format that writes with each, traceback only by a crash, and decimal
+    # and fractions only by a command that builds a Fraction (fractions
+    # imports decimal itself; bench's statistics imports fractions), never
+    # by exact_str to print an int.  The process first runs an int command,
+    # which must load none of them, so the last command is what loads the
+    # expected set.
+    watched = {"json", "csv", "traceback"} | FRACTIONS
     report, _ = loaded_after("value diff 50", *commands)
     assert [code for code, _ in report] == [0] * (len(commands) + 1)
-    assert {"decimal", "fractions"} & set(report[0][1]) == set()
-    assert {"decimal", "fractions"} & set(report[-1][1]) == expected
+    assert watched & set(report[0][1]) == set()
+    assert watched & set(report[-1][1]) == expected
 
 
 CRASH_CODE = """
@@ -555,7 +523,24 @@ def test_subprocess_fault_crosses_the_pool(tmp_path, row):
     tests = str(Path(__file__).resolve().parent)
     (tmp_path / "sitecustomize.py").write_text(SITECUSTOMIZE.format(tests=tests, row=row))
     fault = FAULTS[row]
-    runs = [run_cli(*fault.command.split(), "--jobs", jobs, site=tmp_path) for jobs in ("1", "2")]
-    for run in runs:
-        assert_reported(fault, run.returncode, run.stdout, run.stderr)
-    assert runs[0].stderr == runs[1].stderr
+    run = run_cli(*fault.command.split(), "--jobs", "2", site=tmp_path)
+    assert_reported(fault, run.returncode, run.stdout, run.stderr)
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["verify --from 1 --to 400 --routes closed", "series tree --order 500"],
+    ids=["verify", "series"],
+)
+def test_subprocess_closed_pipe_exits_141_quietly(command):
+    # a reader that stops after the first row, as `| head -1` does: with
+    # 790 and 800 kB to write, far past a pipe's buffer, the child meets the
+    # closed pipe mid-stream; rows stream as they are made, so that is
+    # normal use, not a crash (70)
+    with subprocess.Popen(**child(*command.split()), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=300)
+    assert (code, err) == (141, "")

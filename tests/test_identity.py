@@ -1,5 +1,4 @@
 import concurrent.futures
-import multiprocessing
 import pickle
 import sys
 from fractions import Fraction
@@ -28,7 +27,6 @@ from lacasse.identity import (
     xi,
     xi2,
 )
-from lacasse.kernels import comp_power_sum
 from oracles import alpha_direct, comp_sum, compositions, q_formula, s_d_formula
 
 F = Fraction
@@ -48,15 +46,6 @@ def test_alpha_closed_examples():
     assert alpha_closed(1) == 2  # 1 + 1
     assert alpha_closed(2) == 10  # 2 + 4 + 4
     assert alpha_closed(3) == 78  # 6 + 18 + 27 + 27
-
-
-def test_alpha_routes_agree_midrange():
-    brute = comp_power_sum(0, 60, 3)[1]  # round 2 of verify_range's sweep
-    for n in range(61):
-        assert alpha_direct(n) == alpha_closed(n) == brute[n]
-    # round 2 as the output round of a d = 2 sweep on a window above 0:
-    # odd and even n reach both the paired terms and the middle term
-    assert comp_power_sum(7, 61, 2)[1] == [alpha_direct(n) for n in range(7, 62)]
 
 
 def test_alpha_rejects_negative():
@@ -81,12 +70,6 @@ def test_beta_closed_examples():
     assert beta_closed(1) == 3  # 2 + 1
     assert beta_closed(2) == 18  # 6 + 8 + 4
     assert beta_closed(2) - alpha_closed(2) == 8 == 2**3
-
-
-def test_beta_routes_agree_midrange():
-    brute = comp_power_sum(0, 40, 3)[-1]
-    for n in range(41):
-        assert comp_sum(n, 3) == beta_closed(n) == brute[n]
 
 
 # --- s_d --------------------------------------------------------------------
@@ -214,12 +197,6 @@ def test_telescoping_examples():
     assert telescoping_difference(2) == 8
 
 
-def test_telescoping_equals_power_midrange():
-    for n in range(81):
-        assert telescoping_difference(n) == n ** (n + 1)
-        assert telescoping_difference(n) == beta_closed(n) - alpha_closed(n)
-
-
 def test_telescoping_rejects_negative():
     with pytest.raises(DomainError):
         telescoping_difference(-1)
@@ -234,14 +211,6 @@ def test_ramanujan_q_examples():
     assert ramanujan_q(3) == F(17, 9)
     assert 4 * (1 + ramanujan_q(2)) == 10 == alpha_closed(2)
     assert 27 * (1 + ramanujan_q(3)) == 78 == alpha_closed(3)
-
-
-def test_ramanujan_q_alpha_link_midrange():
-    # Q and alpha_closed are both falling sums by binary splitting, so
-    # alpha is also taken from the definitional binomial sum
-    for n in range(1, 81):
-        assert n**n * (1 + ramanujan_q(n)) == alpha_closed(n)
-        assert n**n * (1 + ramanujan_q(n)) == alpha_direct(n)
 
 
 @pytest.mark.parametrize("n", [n for n in BLOCK_EDGES if n])
@@ -412,17 +381,6 @@ def test_failure_errors_cross_processes(cls, args, attrs):
     assert exc.args == args
     assert tuple(getattr(exc, name) for name in attrs) == args
     assert _failure_state(pickle.loads(pickle.dumps(exc))) == _failure_state(exc)
-    spawn = multiprocessing.get_context("spawn")
-    with concurrent.futures.ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
-        returned = pool.submit(cls, *args).result(timeout=60)
-    assert _failure_state(returned) == _failure_state(exc)
-
-
-def test_verify_range_ordering_and_contents():
-    reports = verify_range(1, 10)
-    assert [r.n for r in reports] == list(range(1, 11))
-    assert all(r.passed for r in reports)
-    assert all(r.difference == r.n ** (r.n + 1) for r in reports)
 
 
 def test_verify_range_invalid():
@@ -438,12 +396,6 @@ def test_verify_range_rejects_negative_cutoff():
     with pytest.raises(DomainError, match="cutoff must be >= 0, got -1"):
         verify_range(1, 2, cutoff=-1)
     assert verify_range(1, 2, cutoff=0)[0].routes_compared == ("closed", "series")
-
-
-def test_verify_range_jobs_independent():
-    sequential = verify_range(1, 12)
-    parallel = verify_range(1, 12, jobs=3)
-    assert sequential == parallel
 
 
 def test_verify_range_clamps_jobs(monkeypatch):
