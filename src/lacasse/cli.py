@@ -6,9 +6,10 @@ range, machine-readable, parallelizable), ``series`` (coefficient tables),
 
 Exit codes: 0 success, 1 verification failure (an arithmetic bug, the
 identity being a theorem), 2 usage or domain error, 70 (EX_SOFTWARE) an
-internal fault that escaped ``main``, 141 (128 + SIGPIPE) a reader that
-closed stdout early, with nothing on stderr.  Exact values print as
-full decimal strings, rationals as p/q; never scientific notation.
+internal fault that escaped ``main``, 130 (128 + SIGINT) an interrupt,
+with one line on stderr, 141 (128 + SIGPIPE) a reader that closed stdout
+early, with nothing on stderr.  Exact values print as full decimal
+strings, rationals as p/q; never scientific notation.
 Only ``--format json`` loads ``json``, only ``--format csv`` loads ``csv``,
 and only a crash loads ``traceback``.  Ints of any size print by
 ``exact_str``'s split at powers of ten, which loads no module and never
@@ -32,6 +33,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CRASH = 70
+EXIT_INTERRUPT = 130
 EXIT_PIPE = 141
 
 FORMATS = ("plain", "json", "csv")
@@ -135,12 +137,9 @@ def cmd_series(args) -> int:
     order = args.order
     if args.which == "geom" and args.d < 1:  # before the tree, seconds at large order
         raise DomainError(f"geom_power requires d >= 1, got {args.d}")
+    d = None if args.which == "tree" else args.d
     tree = identity.tree_series(order)
-    if args.which == "tree":
-        label, d, s = "tree", None, tree
-    else:
-        label, d = "geom", args.d
-        s = identity.geom_power(tree, args.d)
+    s = identity.geom_power(tree, d) if d else tree
 
     def rows():
         f = 1  # m!, the only division out of the n!-scaled vector
@@ -148,7 +147,7 @@ def cmd_series(args) -> int:
             if m:
                 f *= m
             e = s[m]
-            yield _row(m, label, d, exact_str(Fraction(e, f)), egf=exact_str(e))
+            yield _row(m, args.which, d, exact_str(Fraction(e, f)), egf=exact_str(e))
 
     _emit(args.format, rows(), lambda r: f"{r['n']} {r['value']} {r['egf']}")
     return EXIT_OK
@@ -203,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_value = sub.add_parser("value", help="print one exact quantity")
     p_value.add_argument("quantity", choices=VALUE_QUANTITIES)
     p_value.add_argument("n", type=int)
-    p_value.add_argument("--d", type=int, default=2, help="part count for s_d (default 2)")
+    p_value.add_argument("--d", type=int, default=2,
+                         help="part count for s_d (default %(default)s)")
     p_value.set_defaults(func=cmd_value)
 
     p_verify = sub.add_parser("verify", help="verify the identity over a range of n")
@@ -212,9 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--routes",
         default=",".join(identity.ALL_ROUTES),
-        help=f"comma-separated subset of {','.join(identity.ALL_ROUTES)} (closed is always on)",
+        help="comma-separated subset of %(default)s (closed is always on)",
     )
-    p_verify.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
+    p_verify.add_argument("--jobs", type=int, default=1,
+                          help="parallel workers (default %(default)s)")
     p_verify.add_argument(
         "--brute-cutoff",
         type=int,
@@ -226,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_series = sub.add_parser("series", help="print series coefficient tables")
     p_series.add_argument("which", choices=("tree", "geom"))
     p_series.add_argument("--order", type=int, required=True)
-    p_series.add_argument("--d", type=int, default=2, help="power for geom (default 2)")
+    p_series.add_argument("--d", type=int, default=2, help="power for geom (default %(default)s)")
     p_series.set_defaults(func=cmd_series)
 
     p_bench = sub.add_parser("bench", help="time the closed/series/brute routes")
@@ -266,6 +267,9 @@ def main_entry() -> None:
         # so the flush at exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_PIPE
+    except KeyboardInterrupt:  # Ctrl-C is normal use too
+        print("interrupted", file=sys.stderr)
+        code = EXIT_INTERRUPT
     except Exception:
         import traceback  # only a crash prints one
 

@@ -340,7 +340,8 @@ def route_table(
     ``brute`` reads rounds ``ds`` off one ``comp_power_sum`` sweep at
     ``max(ds)`` over the n whose enumeration stays within ``cutoff``
     (admission only ever drops n from the top, so they are a prefix).
-    Needs 0 <= first <= last and every d >= 1; the caller checks.
+    Needs a route of ``ALL_ROUTES`` (any other is taken as ``brute``),
+    0 <= first <= last and every d >= 1; the caller checks.
     """
     window = range(first, last + 1)
     if route == "closed":
@@ -352,8 +353,6 @@ def route_table(
             if d not in powers:
                 powers.update(zip((d, d - 1), kernels.egf_geom_power(t, d, lower=d - 1 in ds)))
         return {n: [powers[d][n] for d in ds] for n in window}
-    if route != "brute":
-        raise DomainError(f"unknown route {route!r}; valid routes are {ALL_ROUTES}")
     top = max(ds)
     admitted = [n for n in window if brute_force_admitted(n, top, cutoff)]
     if not admitted:
@@ -378,7 +377,10 @@ def verify_range(
     admit it, beta likewise, then beta - alpha = n^(n+1).  So the reports,
     and the first failure raised, are the same for every ``jobs``.  The
     process pool is imported only when more than one worker runs, so a
-    one-worker run never loads ``multiprocessing``.
+    one-worker run never loads ``multiprocessing``.  Its workers take
+    SIGINT's default action, so Ctrl-C, which a terminal sends to the whole
+    process group, ends them at once and leaves this process's
+    KeyboardInterrupt as the only report, without waiting for the tables.
     """
     if first < 1 or last < first:
         raise DomainError(f"invalid range [{first}, {last}]; need 1 <= from <= to")
@@ -392,9 +394,11 @@ def verify_range(
     if workers == 1:
         tables = list(map(build, requested))
     else:
+        import signal
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=signal.signal,
+                                 initargs=(signal.SIGINT, signal.SIG_DFL)) as pool:
             tables = list(pool.map(build, requested))
     reports = []
     for n in range(first, last + 1):

@@ -12,12 +12,10 @@ Deliberately naive and independent of the integer kernels they certify:
 * ``compositions`` yields the weak compositions of n into d parts as
   stars-and-bars words, one per choice of d - 1 bar places among
   n + d - 1, and ``comp_sum`` weights each with ``multinomial``, a
-  factorial quotient, one term per composition (at d = 3 it is beta by
-  direct enumeration), apart from ``comp_power_sum``'s sweep, which groups
-  compositions by their first part and shares each sub-sum across every n
-  and every round of a window;
-* ``alpha_direct`` is the definitional two-part sum for one n, with fresh
-  ``math.comb`` and powers in every term, against round 2 of that sweep;
+  factorial quotient, one term per composition (at d = 2 it is alpha and
+  at d = 3 beta, by direct enumeration), apart from ``comp_power_sum``'s
+  sweep, which groups compositions by their first part and shares each
+  sub-sum across every n and every round of a window;
 * ``s_d_formula`` is the README's closed sum, alpha's at d = 2 and beta's
   at d = 3, and ``q_formula`` the defining sum of Q, with each n!/k! a
   factorial division and every term built on its own, apart from the
@@ -145,13 +143,6 @@ def comp_sum(n: int, d: int) -> int:
             w *= k**k  # 0**0 == 1
         total += w
     return total
-
-
-def alpha_direct(n: int) -> int:
-    """The definitional sum sum_k C(n,k) k^k (n-k)^(n-k)."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return sum(comb(n, k) * k**k * (n - k) ** (n - k) for k in range(n + 1))
 
 
 # --- closed sums ----------------------------------------------------------

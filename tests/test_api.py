@@ -46,7 +46,6 @@ def test_exact_exports_only_domain_error():
     assert lacasse.exact.__all__ == ["DomainError"]
 
 
-
 def _readme_block(section: str, fence: str) -> str:
     """The first ``fence`` code block under README's ``## section`` heading."""
     readme = (ROOT / "README.md").read_text()
