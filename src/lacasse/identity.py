@@ -19,8 +19,18 @@ entry).  The tree function y(z) (the solution of y = z*e^y) and every
 power of 1/(1 - y) have integer entries in this form, so the series route
 to alpha, beta and the general d-part sums never leaves the integers.
 
-Every verification failure is a ConsistencyError raised here, and this
-module is the one caller of ``kernels``.
+The series kernels, ``tree_egf`` and ``egf_geom_power``, are each one
+recurrence of binomial convolutions whose weights come from one Pascal
+row, advanced by addition from step to step, so they never divide, never
+touch a gcd and hold no Pascal table.  ``comp_power_sum``, the brute-force
+route, is built the same way but from the definition alone: it sums over
+weak compositions, seeded with k^k, and touches neither the tree function
+nor the closed forms.
+
+Every verification failure is a ConsistencyError raised here.  The callers
+here reach the three kernels through this module's globals at call time,
+so rebinding one (``identity.tree_egf``) reaches every call: that is the
+seam through which the fault-injection tests break one at a time.
 """
 
 import os
@@ -29,8 +39,8 @@ from collections.abc import Sequence
 from functools import partial
 from itertools import accumulate, repeat
 from math import comb
+from operator import add, mul
 
-from . import kernels
 from .exact import DomainError, exact_str
 
 __all__ = [
@@ -228,8 +238,9 @@ def xi2(n: int):
 def telescoping_difference(n: int) -> int:
     """Evaluate sum_k (n!/k!) (n-k) n^k and certify its telescoping collapse.
 
-    With u_k = (n!/k!) n^k, the k-th term u_k (n-k) is u_k n - u_(k+1) (k+1),
-    so the sum over any block of k telescopes to its two boundary terms.
+    With u_k = (n!/k!) n^k, so that k u_k = n u_(k-1), the k-th term
+    u_k (n-k) is n u_k - n u_(k-1), with u_(-1) = 0, so a block [a, b) of k
+    telescopes to n (u_(b-1) - u_(a-1)) and the whole sum to n u_n = n^(n+1).
     It is ``_falling_sum`` with weights n - k, the binary splitting that
     also sums alpha, beta and Q, run with ``certify``: every Horner step
     and every block combine must keep T + F == n^(b-a), and the root block
@@ -269,6 +280,49 @@ def brute_force_admitted(n: int, d: int, cutoff: int = DEFAULT_BRUTE_CUTOFF) -> 
     return comb(n + d - 1, d - 1) <= cutoff
 
 
+def comp_power_sum(first: int, last: int, d: int) -> list:
+    """[s_1, ..., s_d], each a list of s_e(n) for n = first..last: the sum
+    over the weak compositions of n into e parts of multinomial(parts) *
+    prod(k_i^k_i), with 0^0 == 1.
+
+    A weak composition of n is a first part k followed by a composition of
+    n - k into e - 1 parts, and multinomial(n; k, rest) = C(n, k) *
+    multinomial(n - k; rest), so grouping by the first part gives
+    s_e(n) = sum_k C(n, k) k^k s_(e-1)(n - k) from s_1(m) = m^m.  One sweep
+    over n = 0..last carries a single Pascal row, advanced by addition,
+    and for each n runs the d - 1 rounds on the shared weights
+    w[k] = C(n, k) k^k; only the last round, which no other reads, is
+    restricted to first..last.  Round 2 is symmetric, its terms k and n - k
+    both C(n, k) k^k (n-k)^(n-k), so it is 2 sum_{k < n/2} w[k] (n-k)^(n-k)
+    plus w[n/2] (n/2)^(n/2) when n is even, half a round of products.  Each
+    sub-sum s_e(m) is thus built once and reused by every n above m: about
+    (d - 1/2) * last^2 / 2 products for the whole window, with no division
+    and no table of binomials.  Needs 0 <= first <= last and d >= 1; the
+    caller checks.
+    """
+    powt = [k**k for k in range(last + 1)]
+    if d == 1:
+        return [powt[first:]]
+    mids = [[] for _ in range(d - 2)]  # s_2 .. s_(d-1) at 0..n
+    out = []
+    row = [1]
+    for n in range(last + 1):
+        if n:
+            row = [1, *map(add, row, row[1:]), 1]
+        rounds = [*mids, out] if n >= first else mids
+        if not rounds:
+            continue
+        w = list(map(mul, row, powt))  # C(n, k) k^k for k = 0..n
+        half = (n + 1) // 2  # pairs k < n/2; k = n/2 is the middle term when n is even
+        s2 = 2 * sum(map(mul, w[:half], powt[n : n - half : -1]))
+        if n % 2 == 0:
+            s2 += w[half] * powt[half]
+        rounds[0].append(s2)
+        for prev, s in zip(rounds, rounds[1:]):
+            s.append(sum(map(mul, w, reversed(prev))))  # prev holds 0..n
+    return [powt[first:], *(s[first:] for s in mids), out]
+
+
 def _normalize_routes(routes) -> tuple[str, ...]:
     requested = set(routes)
     unknown = requested.difference(ALL_ROUTES)
@@ -292,6 +346,94 @@ def verify_lacasse(
     return verify_range(n, n, routes, cutoff)[0]
 
 
+def egf_geom_power(y: list, d: int, lower: bool = False) -> list:
+    """[P_d], or [P_d, P_(d-1)] when ``lower``, with P_e = (1/(1 - y))^e.
+    Needs a nonempty y with y[0] == 0, and d >= 1; the caller checks.
+
+    P = P_d satisfies P'(1 - y) = d y' P, and the coefficient of z^(m-1)
+    on both sides gives, with v_k = y[k] P[m-k],
+    P[m] = sum_{k=1..m} (C(m-1, k) + d C(m-1, k-1)) v_k = A_m + d B_m
+    from P[0] = 1: one division-free O(N^2) pass for any d, with no
+    reciprocal and no chain of products (J.C.P. Miller's power recurrence,
+    Knuth, TAOCP vol. 2, 4.7).  The weights C(m-1, k) + d C(m-1, k-1) obey
+    Pascal's rule themselves, so P_d alone carries them as its row.
+
+    The same products give the next power down.  (1 - y) P_d = P_(d-1), so
+    P_(d-1)' = (d-1) y' P_d, whose coefficient of z^(m-1) is
+    P_(d-1)[m] = (d-1) B_m (P_0 = [1, 0, ...] at d = 1).  That is series
+    algebra, not the Lacasse identity, so the lower row is a route to
+    alpha as independent as its own pass would be.  The pair carries row
+    m - 1 of Pascal's triangle, and since C(m-1, j) = C(m-1, m-1-j), each of
+    A_m = sum_j C(m-1, j) v_j and B_m = sum_j C(m-1, j) v_(j+1) adds its
+    terms j and m-1-j first and takes one product per pair.  So step m makes
+    the m products v_k once for both rows, and two half-length weighted
+    sums: about the cost of P_d alone, where two passes cost twice that.
+    P_d alone takes its one weighted sum whole, as the fold would save no
+    product there and add an addition per term.
+    """
+    n = len(y) - 1
+    top, low = [1], [1]
+    # the weights at step m: row m - 1 of Pascal's triangle for the pair,
+    # C(m-1, k) + d C(m-1, k-1) for k = 0..m for P_d alone
+    row = [1] if lower else [1, d]
+    for m in range(1, n + 1):
+        if m > 1:
+            row = [row[0], *map(add, row, row[1:]), row[-1]]
+        v = [0, *map(mul, y[1 : m + 1], reversed(top))]  # v_k for k = 0..m; v_0 = 0
+        if lower:
+            b = _palindrome_dot(row, v[1:])  # sum_k C(m-1, k-1) v_k
+            top.append(_palindrome_dot(row, v[:m]) + d * b)
+            low.append((d - 1) * b)
+        else:
+            top.append(sum(map(mul, row, v)))
+    return [top, low] if lower else [top]
+
+
+def _palindrome_dot(row: list, x: list) -> int:
+    """sum_j row[j] x[j] for a row with row[j] == row[-1-j]: the terms j and
+    len(row) - 1 - j share a weight, so each pair takes one product."""
+    h = len(row) // 2
+    s = sum(map(mul, row, map(add, x[:h], reversed(x))))  # map stops after h
+    if len(row) % 2:
+        s += row[h] * x[h]
+    return s
+
+
+def tree_egf(order: int) -> list:
+    """EGF integers of the tree function, solving y = z*exp(y) online.
+    Needs order >= 0; the caller checks.
+
+    With g = exp(y), the z-shift reads y[m] = m * g[m-1], and g' = y'g
+    gives g[m] = sum_{j=1..m} C(m-1, j-1) y[j] g[m-j]
+    = sum_{i=0..m-1} C(m-1, i) (i+1) g[i] g[m-1-i], which needs g only
+    through index m-1.  So one pass alternates the two: read y[m] off g,
+    then extend g by one coefficient (the relaxed solve of Brent & Kung,
+    JACM 1978, and van der Hoeven, JSC 2002).  The terms i and m-1-i share
+    their binomial and their weights sum to m+1, so
+    g[m] = (m+1) sum_{i < (m-1)/2} C(m-1, i) g[i] g[m-1-i], plus the middle
+    term (h+1) C(m-1, h) g[h]^2 at h = (m-1)/2 when m is odd: only the
+    first half of the Pascal row is read, and the whole solve takes about
+    order^2/4 products of a binomial and two coefficients.
+    """
+    y = [0] * (order + 1)
+    g = [1]
+    row = [1]  # row m - 1 of Pascal's triangle at step m
+    for m in range(1, order + 1):
+        y[m] = m * g[m - 1]
+        if m < order:
+            if m > 1:
+                row = [1, *map(add, row, row[1:]), 1]
+            h = m // 2  # pairs i < h; i = h is the middle term when m is odd
+            acc = 0
+            for i in range(h):
+                acc += row[i] * g[i] * g[m - 1 - i]
+            acc *= m + 1
+            if m % 2:
+                acc += (h + 1) * row[h] * g[h] * g[h]
+            g.append(acc)
+    return y
+
+
 def tree_series(order: int) -> tuple[int, ...]:
     """The tree function y(z) = sum_{n>=1} n^(n-1) z^n / n! to the given order.
 
@@ -304,7 +446,7 @@ def tree_series(order: int) -> tuple[int, ...]:
     if order < 0:
         raise DomainError(f"order must be >= 0, got {order}")
     formula = [0] + [n ** (n - 1) for n in range(1, order + 1)]
-    fixed_point = kernels.tree_egf(order)
+    fixed_point = tree_egf(order)
     if formula != fixed_point:
         bad = next(i for i in range(order + 1) if formula[i] != fixed_point[i])
         raise ConsistencyError(
@@ -325,7 +467,7 @@ def geom_power(y: Sequence[int], d: int) -> tuple[int, ...]:
         raise DomainError(f"geom_power requires d >= 1, got {d}")
     if not y or y[0] != 0:
         raise DomainError("geom_power requires a zero constant term")
-    return tuple(kernels.egf_geom_power(y, d)[0])
+    return tuple(egf_geom_power(y, d)[0])
 
 
 def route_table(
@@ -351,13 +493,13 @@ def route_table(
         powers = {}
         for d in sorted(set(ds), reverse=True):
             if d not in powers:
-                powers.update(zip((d, d - 1), kernels.egf_geom_power(t, d, lower=d - 1 in ds)))
+                powers.update(zip((d, d - 1), egf_geom_power(t, d, lower=d - 1 in ds)))
         return {n: [powers[d][n] for d in ds] for n in window}
     top = max(ds)
     admitted = [n for n in window if brute_force_admitted(n, top, cutoff)]
     if not admitted:
         return {}
-    rounds = kernels.comp_power_sum(first, admitted[-1], top)
+    rounds = comp_power_sum(first, admitted[-1], top)
     return {n: [rounds[d - 1][i] for d in ds] for i, n in enumerate(admitted)}
 
 
@@ -381,6 +523,9 @@ def verify_range(
     SIGINT's default action, so Ctrl-C, which a terminal sends to the whole
     process group, ends them at once and leaves this process's
     KeyboardInterrupt as the only report, without waiting for the tables.
+    An interrupt sent to this process alone, or a worker's failure, ends
+    the pool's workers too, so the error is raised without waiting for
+    the other tables.
     """
     if first < 1 or last < first:
         raise DomainError(f"invalid range [{first}, {last}]; need 1 <= from <= to")
@@ -396,10 +541,17 @@ def verify_range(
     else:
         import signal
         from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import active_children
 
+        others = set(active_children())
         with ProcessPoolExecutor(max_workers=workers, initializer=signal.signal,
                                  initargs=(signal.SIGINT, signal.SIG_DFL)) as pool:
-            tables = list(pool.map(build, requested))
+            try:
+                tables = list(pool.map(build, requested))
+            except BaseException:  # the pool's exit would wait for every table
+                for worker in set(active_children()) - others:
+                    worker.terminate()
+                raise
     reports = []
     for n in range(first, last + 1):
         rows = {route: table[n] for route, table in zip(requested, tables) if n in table}

@@ -20,7 +20,7 @@ from lacasse.identity import (
     tree_series,
     verify_range,
 )
-from lacasse.kernels import comp_power_sum
+from lacasse.identity import comp_power_sum
 from oracles import comp_sum, exp_trunc, mul, to_fractions, z
 from test_cli import run_cli
 

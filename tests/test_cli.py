@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 import lacasse
-from lacasse import cli, identity, kernels
+from lacasse import cli, identity
 from lacasse.identity import VerificationReport
 from test_faults import FAULTS, assert_reported
 
@@ -184,13 +184,13 @@ def test_verify_failure_exit_code(monkeypatch):
 def test_verify_brute_cutoff_boundary(monkeypatch):
     # C(11+2, 2) = 78 compositions admits n = 11; n = 12 has 91
     calls = []
-    real = kernels.comp_power_sum
+    real = identity.comp_power_sum
 
     def spy(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(kernels, "comp_power_sum", spy)
+    monkeypatch.setattr(identity, "comp_power_sum", spy)
     code, out, _ = redirected_main(
         "verify", "--from", "5", "--to", "12", "--brute-cutoff", "78"
     )
@@ -227,7 +227,7 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch):
     def boom(order):
         raise ValueError("internal fault")
 
-    monkeypatch.setattr(kernels, "tree_egf", boom)
+    monkeypatch.setattr(identity, "tree_egf", boom)
     with pytest.raises(ValueError, match="internal fault"):
         cli.main(["series", "tree", "--order", "3"])
 
@@ -236,7 +236,7 @@ def test_entry_point_exits_70_on_internal_fault(monkeypatch, capsys):
     def boom(order):
         raise RuntimeError("internal fault")
 
-    monkeypatch.setattr(kernels, "tree_egf", boom)
+    monkeypatch.setattr(identity, "tree_egf", boom)
     monkeypatch.setattr(sys, "argv", ["lacasse", "series", "tree", "--order", "3"])
     with pytest.raises(SystemExit) as exc:
         cli.main_entry()
@@ -253,7 +253,7 @@ def test_series_bad_d_rejected_before_the_tree(monkeypatch):
     def boom(order):
         raise AssertionError("the tree was built")
 
-    monkeypatch.setattr(kernels, "tree_egf", boom)
+    monkeypatch.setattr(identity, "tree_egf", boom)
     code, out, err = redirected_main("series", "geom", "--order", "700", "--d", "0")
     assert code == 2
     assert out == ""
@@ -429,12 +429,12 @@ def test_subprocess_loads_decimal_and_fractions_only_where_used(commands, expect
 
 CRASH_CODE = """
 import sys
-from lacasse import cli, kernels
+from lacasse import cli, identity
 
 def boom(order):
     raise RuntimeError("internal fault")
 
-kernels.tree_egf = boom
+identity.tree_egf = boom
 print("traceback loaded before the crash:", "traceback" in sys.modules)
 sys.argv = ["lacasse", *sys.argv[1:]]
 cli.main_entry()
@@ -493,29 +493,38 @@ def test_subprocess_closed_pipe_exits_141_quietly(command):
 # the series table touches a flag file, then stalls
 STALL = """
 import pathlib, time
-from lacasse import kernels
-kernels.egf_geom_power = lambda *a, **k: (pathlib.Path({flag!r}).touch(), time.sleep(60))
+from lacasse import identity
+identity.egf_geom_power = lambda *a, **k: (pathlib.Path({flag!r}).touch(), time.sleep(60))
 """
 
 
+JOBS_2 = "verify --from 1 --to 5 --routes closed,series --jobs 2"
+
+
 @pytest.mark.parametrize(
-    "command",
-    ["verify --from 1 --to 5", "verify --from 1 --to 5 --routes closed,series --jobs 2"],
-    ids=["jobs-1", "jobs-2"],
+    "command, kill",
+    [("verify --from 1 --to 5", os.killpg), (JOBS_2, os.killpg), (JOBS_2, os.kill)],
+    ids=["jobs-1", "jobs-2", "jobs-2-parent"],
 )
-def test_subprocess_interrupt_exits_130_with_one_line(tmp_path, command):
+def test_subprocess_interrupt_exits_130_with_one_line(tmp_path, command, kill):
     # Ctrl-C, as a terminal sends it: SIGINT to the child's whole process
     # group, mid-run; at --jobs 2 the closed route's worker is idle by then.
-    # No worker may print a traceback or outlive the child
+    # Or `kill -INT <pid>`, to the child alone: its stalled worker must not
+    # hold the exit for the 60 s of the stall.  No worker may print a
+    # traceback or outlive the child
     flag = tmp_path / "stalled"
     (tmp_path / "sitecustomize.py").write_text(STALL.format(flag=str(flag)))
     with subprocess.Popen(**child(*command.split(), site=tmp_path), stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE, start_new_session=True) as proc:
-        while not flag.exists():
-            assert proc.poll() is None  # the child ran to its end without stalling
-            time.sleep(0.01)
-        os.killpg(proc.pid, signal.SIGINT)
-        out, err = proc.communicate(timeout=60)
-    assert (proc.returncode, out, err) == (130, "", "interrupted\n")
-    with pytest.raises(ProcessLookupError):  # the group is empty
-        os.killpg(proc.pid, 0)
+        try:
+            while not flag.exists():
+                assert proc.poll() is None  # the child ran to its end without stalling
+                time.sleep(0.01)
+            kill(proc.pid, signal.SIGINT)
+            out, err = proc.communicate(timeout=10)
+            assert (proc.returncode, out, err) == (130, "", "interrupted\n")
+            with pytest.raises(ProcessLookupError):  # the group is empty
+                os.killpg(proc.pid, 0)
+        finally:  # a failing run leaves no process either
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)

@@ -63,9 +63,9 @@ def disagreement(route, quantity, n, value, first=1):
     """``route`` reads one more than the closed forms' ``value`` of ``quantity`` at n."""
     d = {"alpha": 2, "beta": 3}[quantity]
     if route == "brute":
-        site, factory = "kernels.comp_power_sum", partial(sweep_fault, n=n, d=d)
+        site, factory = "identity.comp_power_sum", partial(sweep_fault, n=n, d=d)
     else:  # verify's series beta and alpha are the top and lower rows of one pass
-        site, factory = "kernels.egf_geom_power", partial(entry_fault, index=n, row=3 - d)
+        site, factory = "identity.egf_geom_power", partial(entry_fault, index=n, row=3 - d)
     line = (f"{PREFIX}routes 'closed' and {route!r} disagree on {quantity}({n}): "
             f"{value} vs {value + 1}\n")
     attrs = dict(n=n, quantity=quantity, routes=("closed", route), values=(value, value + 1))
@@ -106,14 +106,14 @@ FAULTS = {
     "series-alpha-4": disagreement("series", "alpha", 4, 824),
     "series-beta-4": disagreement("series", "beta", 4, 1848),
     "tree-3": Fault(
-        "kernels.tree_egf", partial(entry_fault, index=3), "verify --from 1 --to 8",
+        "identity.tree_egf", partial(entry_fault, index=3), "verify --from 1 --to 8",
         PREFIX + "tree series constructions disagree at z^3: formula 9, fixed point 10\n",
         "series",
     ),
     # past the 4300-digit int-to-str limit, a message must still quote its
     # values in full: the run exits 1, a verification failure, not 70, a crash
     "tree-1700": Fault(
-        "kernels.tree_egf", cayley_stand_in, "series tree --order 1700",
+        "identity.tree_egf", cayley_stand_in, "series tree --order 1700",
         PREFIX + "tree series constructions disagree at z^1700: formula ", "series",
         tail=lambda rest: [Decimal(x) for x in rest.split(", fixed point ")]
         == [1700**1699, 1700**1699 + 1],  # 5489 digits each

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lacasse import identity, kernels
+from lacasse import identity
 from lacasse.exact import DomainError
 from lacasse.identity import (
     ConsistencyError,
@@ -231,13 +231,13 @@ def test_series_route_table_pairs_adjacent_powers(monkeypatch):
     # d and d - 1 come from one pass, any other d from its own; the values
     # are the closed route's whatever the pairing
     calls = []
-    real = kernels.egf_geom_power
+    real = identity.egf_geom_power
 
     def spy(y, d, lower=False):
         calls.append((d, lower))
         return real(y, d, lower)
 
-    monkeypatch.setattr(kernels, "egf_geom_power", spy)
+    monkeypatch.setattr(identity, "egf_geom_power", spy)
     for ds, want in [
         ((2, 3), [(3, True)]),
         ((3,), [(3, False)]),
@@ -265,10 +265,10 @@ def test_verify_closed_only_route():
 
 ROUTE_REACH = {
     "closed": {"identity.s_d_closed", "identity._falling_sum", "identity.block"},
-    "brute": {"identity.brute_force_admitted", "kernels.comp_power_sum"},
+    "brute": {"identity.brute_force_admitted", "identity.comp_power_sum"},
     "series": {
-        "identity.tree_series", "kernels.tree_egf", "kernels.egf_geom_power",
-        "kernels._palindrome_dot",
+        "identity.tree_series", "identity.tree_egf", "identity.egf_geom_power",
+        "identity._palindrome_dot",
     },
 }
 

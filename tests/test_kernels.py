@@ -10,7 +10,7 @@ import gc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lacasse import kernels
+from lacasse import identity
 from oracles import (
     add,
     comp_sum,
@@ -37,18 +37,18 @@ def test_egf_geom_power_matches_fraction_oracle(u, d):
     for _ in range(d):
         powers.append(mul(powers[-1], inv))
     want = [to_egf(powers[d]), to_egf(powers[d - 1])]
-    assert kernels.egf_geom_power(u, d) == want[:1]
-    assert kernels.egf_geom_power(u, d, lower=True) == want
+    assert identity.egf_geom_power(u, d) == want[:1]
+    assert identity.egf_geom_power(u, d, lower=True) == want
 
 
 def test_egf_geom_power_pair_is_two_passes_at_order_300():
     # the pair's rows from one pass against a pass of their own each, on
     # the tree, whose entries reach thousands of digits
-    y = kernels.tree_egf(300)
+    y = identity.tree_egf(300)
     for d in (3, 7):
-        top, low = kernels.egf_geom_power(y, d, lower=True)
-        assert kernels.egf_geom_power(y, d) == [top]
-        assert kernels.egf_geom_power(y, d - 1) == [low]
+        top, low = identity.egf_geom_power(y, d, lower=True)
+        assert identity.egf_geom_power(y, d) == [top]
+        assert identity.egf_geom_power(y, d - 1) == [low]
 
 
 def _cayley(k):
@@ -60,25 +60,25 @@ def _cayley(k):
 def test_tree_egf_small_values():
     assert _cayley(5) == [0, 1, 2, 9, 64, 625]
     for k in range(81):
-        assert kernels.tree_egf(k) == _cayley(k)
+        assert identity.tree_egf(k) == _cayley(k)
 
 
 def test_tree_egf_matches_formula_at_large_order():
-    assert kernels.tree_egf(300) == _cayley(300)
+    assert identity.tree_egf(300) == _cayley(300)
 
 
 def test_tree_egf_satisfies_functional_equation():
     # y = z*exp(y), in the Fraction arithmetic of the oracles
-    y = to_fractions(kernels.tree_egf(40))
+    y = to_fractions(identity.tree_egf(40))
     assert mul(z(40), exp_trunc(y)) == y
 
 
 def test_comp_power_sum_examples():
-    assert kernels.comp_power_sum(2, 2, 2) == [[4], [10]]
-    assert kernels.comp_power_sum(1, 1, 3) == [[1], [2], [3]]
-    assert kernels.comp_power_sum(0, 0, 4) == [[1]] * 4
-    assert kernels.comp_power_sum(7, 7, 1) == [[7**7]]
-    assert kernels.comp_power_sum(0, 2, 2) == [[1, 1, 4], [1, 2, 10]]
+    assert identity.comp_power_sum(2, 2, 2) == [[4], [10]]
+    assert identity.comp_power_sum(1, 1, 3) == [[1], [2], [3]]
+    assert identity.comp_power_sum(0, 0, 4) == [[1]] * 4
+    assert identity.comp_power_sum(7, 7, 1) == [[7**7]]
+    assert identity.comp_power_sum(0, 2, 2) == [[1, 1, 4], [1, 2, 10]]
 
 
 def test_comp_power_sum_matches_composition_oracle():
@@ -89,7 +89,7 @@ def test_comp_power_sum_matches_composition_oracle():
     for d in range(1, 7):
         for first in range(13):
             for last in range(first, 13):
-                rounds = kernels.comp_power_sum(first, last, d)
+                rounds = identity.comp_power_sum(first, last, d)
                 assert rounds == [
                     [want[n, e] for n in range(first, last + 1)] for e in range(1, d + 1)
                 ]
@@ -98,8 +98,8 @@ def test_comp_power_sum_matches_composition_oracle():
 def test_comp_power_sum_part_count_beyond_recursion_limit():
     # n = 1 has e compositions into e parts, one 1 among zeros, each of
     # weight 1
-    assert kernels.comp_power_sum(0, 1, 3000) == [[1, e] for e in range(1, 3001)]
-    assert kernels.comp_power_sum(1, 1, 3000)[-1] == [3000]
+    assert identity.comp_power_sum(0, 1, 3000) == [[1, e] for e in range(1, 3001)]
+    assert identity.comp_power_sum(1, 1, 3000)[-1] == [3000]
 
 
 def test_kernels_leave_no_reference_cycles():
@@ -108,9 +108,9 @@ def test_kernels_leave_no_reference_cycles():
     gc.disable()
     try:
         gc.collect()
-        kernels.comp_power_sum(0, 40, 4)
-        kernels.egf_geom_power(kernels.tree_egf(40), 3)
-        kernels.egf_geom_power(kernels.tree_egf(40), 3, lower=True)
+        identity.comp_power_sum(0, 40, 4)
+        identity.egf_geom_power(identity.tree_egf(40), 3)
+        identity.egf_geom_power(identity.tree_egf(40), 3, lower=True)
         assert gc.collect() == 0
     finally:
         gc.enable()
