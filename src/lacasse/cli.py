@@ -5,11 +5,16 @@ range, machine-readable, parallelizable), ``series`` (coefficient tables),
 ``bench`` (route timings).
 
 Exit codes: 0 success, 1 verification failure (an arithmetic bug, the
-identity being a theorem), 2 usage or domain error, 70 (EX_SOFTWARE) an
+identity being a theorem), 2 usage or domain error, or an input past the
+memory at hand, with one line on stderr, 70 (EX_SOFTWARE) an
 internal fault that escaped ``main``, 130 (128 + SIGINT) an interrupt,
 with one line on stderr, 141 (128 + SIGPIPE) a reader that closed stdout
 early, with nothing on stderr.  Exact values print as full decimal
 strings, rationals as p/q; never scientific notation.
+The canonical argv forms (the subcommand, its positionals, then each flag
+at most once, spelt out in full and followed by its value) are read
+without ``argparse``; only ``--help``, a usage error and any other form,
+such as ``--flag=value`` or an option before a positional, load it.
 Only ``--format json`` loads ``json``, only ``--format csv`` loads ``csv``,
 and only a crash loads ``traceback``.  Ints of any size print by
 ``exact_str``'s split at powers of ten, which loads no module and never
@@ -20,11 +25,11 @@ and ``bench``, through ``statistics``, load ``decimal`` with
 ``fractions``.
 """
 
-import argparse
 import os
 import sys
 import time
 from functools import cache
+from types import SimpleNamespace
 
 from . import identity
 from .exact import DomainError, exact_str
@@ -187,8 +192,51 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-@cache  # built on the first main call, then reused: parsing leaves it unchanged
-def build_parser() -> argparse.ArgumentParser:
+# The one CLI grammar, read by build_parser and by _parse_fast.  Per
+# subcommand: its help line, its handler and its arguments in the order
+# argparse adds them, each as (name, the keywords of add_argument).  An
+# option's name is its flag, and its keywords give its dest; a positional's
+# name is its dest.
+_FORMAT_OPTION = ("--format", dict(dest="format", choices=FORMATS, default="plain"))
+_GRAMMAR = {
+    "value": ("print one exact quantity", cmd_value, [
+        ("quantity", dict(choices=VALUE_QUANTITIES)),
+        ("n", dict(type=int)),
+        ("--d", dict(dest="d", type=int, default=2,
+                     help="part count for s_d (default %(default)s)")),
+        _FORMAT_OPTION,
+    ]),
+    "verify": ("verify the identity over a range of n", cmd_verify, [
+        ("--from", dict(dest="from_", type=int, required=True, metavar="N")),
+        ("--to", dict(dest="to", type=int, required=True, metavar="N")),
+        ("--routes", dict(dest="routes", default=",".join(identity.ALL_ROUTES),
+                          help="comma-separated subset of %(default)s (closed is always on)")),
+        ("--jobs", dict(dest="jobs", type=int, default=1,
+                        help="parallel workers (default %(default)s)")),
+        ("--brute-cutoff", dict(dest="brute_cutoff", type=int,
+                                default=identity.DEFAULT_BRUTE_CUTOFF,
+                                help="max enumeration terms before the brute route is dropped")),
+        _FORMAT_OPTION,
+    ]),
+    "series": ("print series coefficient tables", cmd_series, [
+        ("which", dict(choices=("tree", "geom"))),
+        ("--order", dict(dest="order", type=int, required=True)),
+        ("--d", dict(dest="d", type=int, default=2, help="power for geom (default %(default)s)")),
+        _FORMAT_OPTION,
+    ]),
+    "bench": ("time the closed/series/brute routes", cmd_bench, [
+        ("--n-max", dict(dest="n_max", type=int, default=20)),
+        ("--d", dict(dest="d", type=int, default=2)),
+        ("--repetitions", dict(dest="repetitions", type=int, default=3)),
+        _FORMAT_OPTION,
+    ]),
+}
+
+
+@cache  # built on the first call that needs it, then reused: parsing leaves it unchanged
+def build_parser():
+    import argparse  # only --help, a usage error or a form _parse_fast declines needs it
+
     parser = argparse.ArgumentParser(
         prog="lacasse",
         description=(
@@ -198,55 +246,62 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_value = sub.add_parser("value", help="print one exact quantity")
-    p_value.add_argument("quantity", choices=VALUE_QUANTITIES)
-    p_value.add_argument("n", type=int)
-    p_value.add_argument("--d", type=int, default=2,
-                         help="part count for s_d (default %(default)s)")
-    p_value.set_defaults(func=cmd_value)
-
-    p_verify = sub.add_parser("verify", help="verify the identity over a range of n")
-    p_verify.add_argument("--from", dest="from_", type=int, required=True, metavar="N")
-    p_verify.add_argument("--to", type=int, required=True, metavar="N")
-    p_verify.add_argument(
-        "--routes",
-        default=",".join(identity.ALL_ROUTES),
-        help="comma-separated subset of %(default)s (closed is always on)",
-    )
-    p_verify.add_argument("--jobs", type=int, default=1,
-                          help="parallel workers (default %(default)s)")
-    p_verify.add_argument(
-        "--brute-cutoff",
-        type=int,
-        default=identity.DEFAULT_BRUTE_CUTOFF,
-        help="max enumeration terms before the brute route is dropped",
-    )
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_series = sub.add_parser("series", help="print series coefficient tables")
-    p_series.add_argument("which", choices=("tree", "geom"))
-    p_series.add_argument("--order", type=int, required=True)
-    p_series.add_argument("--d", type=int, default=2, help="power for geom (default %(default)s)")
-    p_series.set_defaults(func=cmd_series)
-
-    p_bench = sub.add_parser("bench", help="time the closed/series/brute routes")
-    p_bench.add_argument("--n-max", type=int, default=20)
-    p_bench.add_argument("--d", type=int, default=2)
-    p_bench.add_argument("--repetitions", type=int, default=3)
-    p_bench.set_defaults(func=cmd_bench)
-
-    for p in (p_value, p_verify, p_series, p_bench):  # last in each --help
-        p.add_argument("--format", choices=FORMATS, default="plain")
+    for command, (help_line, func, arguments) in _GRAMMAR.items():
+        p = sub.add_parser(command, help=help_line)
+        for name, keywords in arguments:
+            p.add_argument(name, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
+def _parse_fast(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse would make of ``argv``, read without argparse,
+    when ``argv`` has the canonical form: the exact subcommand, its
+    positionals in order, then exact flags, each at most once and followed
+    by one value, with every required flag present.  None for any other
+    form, and for a value that int() or the choices reject, so argparse
+    parses it and prints its help or usage error."""
+    if not argv or argv[0] not in _GRAMMAR:
+        return None
+    _, func, arguments = _GRAMMAR[argv[0]]
+    positionals = [arg for arg in arguments if arg[0][0] != "-"]
+    options = {arg[0]: arg for arg in arguments if arg[0][0] == "-"}
+    k = len(positionals)
+    tokens, flags, values = argv[1 : k + 1], argv[k + 1 :: 2], argv[k + 2 :: 2]
+    if len(tokens) < k or len(flags) != len(values) or len(set(flags)) < len(flags):
+        return None
+    if not options.keys() >= set(flags):  # an unknown flag, abbreviated or with =value
+        return None
+    parsed = {"command": argv[0], "func": func}
+    for (name, keywords), token in [*zip(positionals, tokens),
+                                    *zip(map(options.get, flags), values)]:
+        if token.startswith("-"):  # argparse reads -1 as a value, -x as a flag
+            return None
+        if "type" in keywords:
+            try:
+                token = keywords["type"](token)
+            except ValueError:
+                return None
+        if "choices" in keywords and token not in keywords["choices"]:
+            return None
+        parsed[keywords.get("dest", name)] = token
+    for flag, (_, keywords) in options.items():
+        if flag not in flags:
+            if keywords.get("required"):
+                return None
+            parsed[keywords["dest"]] = keywords.get("default")
+    return SimpleNamespace(**parsed)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
-        return int(exc.code or 0)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_fast(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
+            return int(exc.code or 0)
     try:
         return args.func(args)
     except DomainError as exc:
@@ -255,6 +310,9 @@ def main(argv: list[str] | None = None) -> int:
     except identity.ConsistencyError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
+    except MemoryError:  # an input past this machine's memory, not a bug
+        print(f"error: out of memory computing {args.command}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def main_entry() -> None:

@@ -10,6 +10,7 @@ import pytest
 import lacasse
 import lacasse.exact
 from lacasse import cli
+from test_cli import fast_parsed
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -110,15 +111,16 @@ def test_readme_names_only_files_in_the_repo():
 
 
 def test_scale_rows_are_cli_commands():
-    # a renamed flag fails here, not only in the scale run; and importing
-    # the rows builds no reference, so it leaves the int-to-str limit as it was
+    # a renamed flag fails here, not only in the scale run, and every row is
+    # read without argparse; importing the rows builds no reference, so it
+    # leaves the int-to-str limit as it was
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)
     before = limit()
     scale = importlib.reload(importlib.import_module("scale"))
     assert limit() == before
     for row in scale.ROWS.values():
         for command in row.commands:
-            cli.build_parser().parse_args(command.split())
+            assert fast_parsed(command.split()), command
 
 
 def test_every_oracle_is_named_by_a_test():

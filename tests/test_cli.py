@@ -1,18 +1,19 @@
 """The CLI beyond its output bytes, which golden.json pins (test_golden.py).
 
-Here: the parser reused across calls; each subcommand's options in
+Here: the canonical forms read without argparse as argparse reads them,
+and its parser built once for the other forms; each subcommand's options in
 ``--help`` order; the same full digits past the int-to-str limit at any
 setting of it; the order of stdout and stderr; and runs in real
 processes, closed pipes and interrupts among them.  Verification failures
 are injected from the one table in test_faults.py.
 """
 
-import argparse
 import ast
 import contextlib
 import io
 import json
 import os
+import resource
 import shlex
 import signal
 import subprocess
@@ -22,6 +23,8 @@ import types
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lacasse
 from lacasse import cli, identity
@@ -64,7 +67,7 @@ def redirected_main(*args: str, merge: bool = False) -> tuple:
     return (code, out.getvalue()) if merge else (code, out.getvalue(), err.getvalue())
 
 
-# --- one parser per process ---------------------------------------------------
+# --- the canonical forms without argparse, one parser for the rest ------------
 
 
 @pytest.fixture
@@ -74,36 +77,108 @@ def fresh_parser():
     cli.build_parser.cache_clear()
 
 
+def fast_parsed(argv: list[str]) -> bool:
+    """Whether cli._parse_fast reads ``argv``; where it does, its namespace
+    must be the one argparse makes of the same argv."""
+    fast = cli._parse_fast(argv)
+    if fast is not None:
+        assert vars(fast) == vars(cli.build_parser().parse_args(argv)), argv
+    return fast is not None
+
+
+def _value(keywords: dict):
+    if "choices" in keywords:
+        return st.sampled_from(keywords["choices"])
+    if keywords.get("type") is int:
+        return st.integers(min_value=0, max_value=10**6).map(str)
+    return st.sampled_from(["closed", "closed,series", "brute, series", ""])  # --routes
+
+
+# each takes the argv, the index of one of its flags and a token from TOKENS
+FLAG_MUTATIONS = {
+    "abbreviate": lambda argv, i, _: [*argv[:i], argv[i][:3], *argv[i + 1 :]],  # ambiguous --f
+    "equals": lambda argv, i, _: [*argv[:i], f"{argv[i]}={argv[i + 1]}", *argv[i + 2 :]],
+    "repeat": lambda argv, i, token: [*argv, argv[i], token],
+    "options-first": lambda argv, i, _: [argv[0], *argv[i:], *argv[1:i]],
+    "drop": lambda argv, i, _: argv[:i] + argv[i + 2 :],
+    "drop-value": lambda argv, i, _: argv[: i + 1] + argv[i + 2 :],
+}
+TOKENS = ("-h", "--help", "--", "-1", "--bogus", "--to", "extra", "json", "7", "0x7", "")
+
+
+@st.composite
+def grammar_argv(draw) -> tuple[list[str], bool]:
+    """A canonical argv drawn from cli._GRAMMAR, with every required flag and
+    any others in any order, and whether it was then mutated: one flag
+    abbreviated, joined to its value by =, repeated, put before the
+    positionals, or dropped with or without its value; the last token
+    dropped; or one token inserted anywhere or put in place of another."""
+    command = draw(st.sampled_from(sorted(cli._GRAMMAR)))
+    arguments = cli._GRAMMAR[command][2]
+    argv = [command, *(draw(_value(kw)) for name, kw in arguments if name[0] != "-")]
+    first_flag = len(argv)
+    for name, kw in draw(st.permutations([arg for arg in arguments if arg[0][0] == "-"])):
+        if kw.get("required") or draw(st.booleans()):
+            argv += [name, draw(_value(kw))]
+    mutation = draw(st.sampled_from([None, "insert", "replace", "truncate", *FLAG_MUTATIONS]))
+    token = draw(st.sampled_from(TOKENS))
+    if mutation == "truncate":
+        argv.pop()
+    elif mutation == "insert":
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    elif mutation == "replace" and len(argv) > 1:
+        argv[draw(st.integers(1, len(argv) - 1))] = token
+    elif mutation in FLAG_MUTATIONS and first_flag < len(argv):
+        i = draw(st.sampled_from(range(first_flag, len(argv), 2)))
+        argv = FLAG_MUTATIONS[mutation](argv, i, token)
+    else:
+        mutation = None
+    return argv, mutation is not None
+
+
+@given(grammar_argv())
+@settings(max_examples=300)
+@example((["verify", "--from", "1", "--to", "2", "--routes", "--to"], True))  # a flag as a value
+@example((["verify", "--to", "2"], True))  # a required flag left out
+@example((["series", "tree", "--order"], True))  # a flag without its value
+@example((["value", "alpha"], True))  # a positional left out
+@example((["value", "nope", "2"], True))  # a choice not offered
+def test_fast_parser_reads_canonical_forms_as_argparse_does(drawn):
+    # every canonical argv is read without argparse, into argparse's own
+    # namespace; a mutated one is read the same, or left to argparse, which
+    # then prints its help or usage error as it always has
+    argv, mutated = drawn
+    assert fast_parsed(argv) or mutated, argv
+
+
 def test_reused_parser_restores_defaults(fresh_parser):
-    assert redirected_main("value", "s_d", "5", "--d", "4") == (0, "54020\n", "")
-    assert redirected_main("value", "s_d", "5") == (0, "10970\n", "")  # default d = 2
+    # each argv below is a form that _parse_fast leaves to argparse
+    assert redirected_main("value", "s_d", "5", "--d=4") == (0, "54020\n", "")
+    assert redirected_main("value", "--format", "plain", "s_d", "5") == (0, "10970\n", "")
 
 
 def test_reused_parser_recovers_from_usage_error(fresh_parser):
     code, out, err = redirected_main("value", "nope", "1")
     assert (code, out) == (2, "")
     assert err.startswith("usage: lacasse value") and "invalid choice: 'nope'" in err
-    assert redirected_main("value", "alpha", "2") == (0, "10\n", "")
+    assert redirected_main("value", "alpha", "2", "--format=plain") == (0, "10\n", "")
 
 
 def test_reused_parser_restores_default_format(fresh_parser):
-    code, out, _ = redirected_main("value", "alpha", "3", "--format", "json")
+    code, out, _ = redirected_main("value", "alpha", "3", "--format=json")
     assert code == 0 and json.loads(out)["value"] == "78"
-    assert redirected_main("value", "alpha", "3") == (0, "78\n", "")
+    assert redirected_main("value", "--d", "2", "alpha", "3") == (0, "78\n", "")
 
 
-def test_parser_built_once_for_many_calls(monkeypatch, fresh_parser):
-    built = []
-
-    def counting_parser(*args, **kwargs):
-        built.append(kwargs["prog"])
-        return argparse.ArgumentParser(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "argparse", types.SimpleNamespace(ArgumentParser=counting_parser))
-    calls = [("value", "alpha", "2"), ("value", "q", "2"), ("verify", "--from", "1", "--to", "2")]
-    for args in calls:
-        assert redirected_main(*args)[0] == 0
-    assert built == ["lacasse"]
+def test_parser_built_once_for_many_calls(fresh_parser):
+    # the canonical forms build no parser; the first other form builds the
+    # one parser, and every later one reuses it
+    for command in ["value alpha 2", "value q 2", "verify --from 1 --to 2"]:
+        assert redirected_main(*command.split())[0] == 0
+    assert cli.build_parser.cache_info().misses == 0
+    for command in ["value alpha 2 --format=csv", "verify --from=1 --to 2"]:
+        assert redirected_main(*command.split())[0] == 0
+    assert cli.build_parser.cache_info()[:2] == (1, 1)  # (hits, misses)
 
 
 @pytest.mark.parametrize(
@@ -352,7 +427,7 @@ import sys
 from lacasse import cli
 watched = (
     "json", "csv", "traceback", "decimal", "fractions",
-    "concurrent.futures", "multiprocessing", "dataclasses", "__future__",
+    "concurrent.futures", "multiprocessing", "dataclasses", "__future__", "argparse",
 )
 report = []
 for command in sys.argv[1:]:
@@ -388,6 +463,23 @@ def test_subprocess_loads_the_pool_only_for_jobs():
     assert heavy.isdisjoint(report[2][1])
     if (cpus or 1) > 1:
         assert "concurrent.futures" in report[3][1]
+
+
+@pytest.mark.parametrize(
+    "other, code", [("value alpha 7 --format=json", 0), ("value nope 7", 2)],
+    ids=["equals-form", "invalid-choice"],
+)
+def test_subprocess_loads_argparse_only_for_other_forms(other, code):
+    # the canonical forms of value, verify and series are read without
+    # argparse; a --flag=value form, or any usage error, loads it
+    report, _ = loaded_after("value alpha 50", "verify --from 1 --to 5 --format csv",
+                             "series geom --order 4 --d 3", other)
+    assert [(c, "argparse" in loaded) for c, loaded in report] == [(0, False)] * 3 + [(code, True)]
+
+
+def test_subprocess_import_loads_no_argparse():
+    proc = run_cli(code="import sys, lacasse.cli; print('argparse' in sys.modules)")
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 FRACTIONS = {"decimal", "fractions"}
@@ -449,6 +541,19 @@ def test_subprocess_crash_imports_traceback_and_exits_70():
     assert proc.stdout == "traceback loaded before the crash: False\n"
     assert "Traceback" in proc.stderr
     assert "RuntimeError: internal fault" in proc.stderr
+
+
+def test_subprocess_out_of_memory_exits_2_with_one_line():
+    # s_d_closed's n + 1 weights alone need 1.6 GB of pointers at n = 2 * 10^8;
+    # under a 1 GiB address space, set on the child alone, that fails at once:
+    # an input out of reach, not a crash (70)
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(**child("value", "alpha", "200000000"), capture_output=True,
+                          timeout=60, preexec_fn=cap)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: out of memory computing value\n")
 
 
 # sitecustomize.py runs at every interpreter start, so the row's fault

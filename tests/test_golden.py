@@ -26,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from test_cli import redirected_main
+from test_cli import fast_parsed, redirected_main
 
 GOLDEN = Path(__file__).with_name("golden.json")
 SHORT = 400  # stdout up to this many bytes is kept as text
@@ -58,6 +58,8 @@ def run(argv: list[str]) -> dict:
 @pytest.mark.parametrize("entry", ENTRIES, ids=[shlex.join(e["argv"]) for e in ENTRIES])
 def test_golden(entry):
     assert run(entry["argv"]) == entry
+    # every argv that exits 0 is read without argparse, into its namespace
+    assert fast_parsed(entry["argv"]) or entry["exit"] == 2
 
 
 if __name__ == "__main__":
