@@ -6,9 +6,8 @@ tree-function series.  All arithmetic is exact (arbitrary-precision
 integers and rationals).
 """
 
-from .exact import *
 from .identity import *
 
 __version__ = "0.1.0"
 
-__all__ = [*exact.__all__, *identity.__all__]
+__all__ = [*identity.__all__]

@@ -28,11 +28,10 @@ and ``bench``, through ``statistics``, load ``decimal`` with
 import os
 import sys
 import time
-from functools import cache
 from types import SimpleNamespace
 
 from . import identity
-from .exact import DomainError, exact_str
+from .identity import DomainError, exact_str
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -233,7 +232,6 @@ _GRAMMAR = {
 }
 
 
-@cache  # built on the first call that needs it, then reused: parsing leaves it unchanged
 def build_parser():
     import argparse  # only --help, a usage error or a form _parse_fast declines needs it
 

@@ -27,7 +27,16 @@ route, is built the same way but from the definition alone: it sums over
 weak compositions, seeded with k^k, and touches neither the tree function
 nor the closed forms.
 
-Every verification failure is a ConsistencyError raised here.  The callers
+Values are Python ints (arbitrary precision, no overflow at any size used
+here) and ``fractions.Fraction`` (always lowest terms, positive
+denominator).  ``exact_str`` prints both: ints by divide and conquer over
+powers of ten, with ``str()`` only on pieces of at most ``_DIGITS``
+digits, so printing loads no module (from Python 3.12 CPython's own
+``divmod`` imports ``_pylong``, and with it ``decimal``, for a quotient
+and divisor past a few thousand digits).
+
+An argument outside a quantity's domain raises DomainError, and every
+verification failure is a ConsistencyError, both raised here.  The callers
 here reach the three kernels through this module's globals at call time,
 so rebinding one (``identity.tree_egf``) reaches every call: that is the
 seam through which the fault-injection tests break one at a time.
@@ -41,11 +50,10 @@ from itertools import accumulate, repeat
 from math import comb
 from operator import add, mul
 
-from .exact import DomainError, exact_str
-
 __all__ = [
     "ConsistencyError",
     "DEFAULT_BRUTE_CUTOFF",
+    "DomainError",
     "IdentityFailureError",
     "RouteDisagreementError",
     "VerificationReport",
@@ -67,6 +75,60 @@ ALL_ROUTES = ("closed", "brute", "series")
 # Brute force is dropped (never errors) once the enumeration would exceed
 # this many weak compositions.
 DEFAULT_BRUTE_CUTOFF = 2_000_000
+
+
+# the leaf size of exact_str's split: below 640, the lowest nonzero
+# int-to-str digit limit Python accepts, so every str() it makes is legal
+# under any limit
+_DIGITS = 600
+_LEAF = 10**_DIGITS
+
+
+class DomainError(ValueError):
+    """An argument outside the domain of the requested quantity.
+
+    The one error the CLI reports as a usage or domain error (exit 2).  Any
+    other ValueError is a fault inside the program and is not caught there.
+    """
+
+
+def exact_str(x) -> str:
+    """Full decimal digits of an int, or ``p/q`` of a Fraction, at any size.
+
+    An int is its own numerator over denominator 1, so both types are read
+    through ``numerator`` and ``denominator``.  An int below 10^_DIGITS in
+    magnitude prints with ``str()``.  A larger one is split by ``divmod`` at
+    10^(_DIGITS 2^k), the powers squared up from 10^_DIGITS once per call,
+    and both halves print the same way, each low half zero-padded to its
+    full width.  Every ``str()`` call so prints fewer digits than any
+    int-to-str limit Python accepts: the process-wide limit is never read
+    or changed, and the split's quadratic divisions cost less than
+    ``str()``'s quadratic conversion of the whole int.
+    The CLI's output and every failure message that quotes a value go
+    through here.
+    """
+    p, q = x.numerator, x.denominator
+    if q != 1:
+        return f"{exact_str(p)}/{exact_str(q)}"
+    if -_LEAF < p < _LEAF:
+        return str(p)
+    if p < 0:
+        return "-" + exact_str(-p)
+    powers = [_LEAF]  # powers[k] = 10^(_DIGITS 2^k), until p < powers[-1]^2
+    while p.bit_length() > 2 * powers[-1].bit_length() - 2:
+        powers.append(powers[-1] * powers[-1])
+    return _digits(p, powers, len(powers) - 1, False)
+
+
+def _digits(p: int, powers: list, k: int, pad: bool) -> str:
+    """The digits of 0 <= p < powers[k]^2 (p < 10^_DIGITS at k = -1),
+    zero-padded to _DIGITS 2^(k+1) when ``pad``."""
+    if k < 0:
+        return str(p).zfill(_DIGITS) if pad else str(p)
+    if not pad and p < powers[k]:
+        return _digits(p, powers, k - 1, False)
+    hi, lo = divmod(p, powers[k])
+    return _digits(hi, powers, k - 1, pad) + _digits(lo, powers, k - 1, True)
 
 
 class ConsistencyError(RuntimeError):
@@ -519,13 +581,13 @@ def verify_range(
     admit it, beta likewise, then beta - alpha = n^(n+1).  So the reports,
     and the first failure raised, are the same for every ``jobs``.  The
     process pool is imported only when more than one worker runs, so a
-    one-worker run never loads ``multiprocessing``.  Its workers take
-    SIGINT's default action, so Ctrl-C, which a terminal sends to the whole
-    process group, ends them at once and leaves this process's
-    KeyboardInterrupt as the only report, without waiting for the tables.
-    An interrupt sent to this process alone, or a worker's failure, ends
-    the pool's workers too, so the error is raised without waiting for
-    the other tables.
+    one-worker run never loads ``multiprocessing``.  Every worker is born
+    with SIGINT blocked, under any start method, so Ctrl-C, which a terminal
+    sends to the whole process group, reaches this process alone, even
+    while a worker is still starting up, and its KeyboardInterrupt is the
+    only report.  That interrupt, one sent to this process alone, or a
+    worker's failure ends the pool's workers at once, so the error is
+    raised without waiting for the other tables.
     """
     if first < 1 or last < first:
         raise DomainError(f"invalid range [{first}, {last}]; need 1 <= from <= to")
@@ -544,10 +606,18 @@ def verify_range(
         from multiprocessing import active_children
 
         others = set(active_children())
-        with ProcessPoolExecutor(max_workers=workers, initializer=signal.signal,
-                                 initargs=(signal.SIGINT, signal.SIG_DFL)) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             try:
-                tables = list(pool.map(build, requested))
+                # the workers start in map and inherit the mask; where the
+                # pool uses multiprocessing's resource tracker, its
+                # constructor has started it, as starting it here would
+                # unblock SIGINT
+                blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+                try:
+                    results = pool.map(build, requested)
+                finally:  # an interrupt held meanwhile is raised here
+                    signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
+                tables = list(results)
             except BaseException:  # the pool's exit would wait for every table
                 for worker in set(active_children()) - others:
                     worker.terminate()

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 import lacasse
-import lacasse.exact
 from lacasse import cli
 from test_cli import fast_parsed
 
@@ -41,10 +40,6 @@ def test_public_api_is_pinned():
     assert sorted(lacasse.__all__) == PUBLIC_NAMES
     for name in lacasse.__all__:
         assert hasattr(lacasse, name)
-
-
-def test_exact_exports_only_domain_error():
-    assert lacasse.exact.__all__ == ["DomainError"]
 
 
 def _readme_block(section: str, fence: str) -> str:

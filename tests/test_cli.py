@@ -1,9 +1,9 @@
 """The CLI beyond its output bytes, which golden.json pins (test_golden.py).
 
 Here: the canonical forms read without argparse as argparse reads them,
-and its parser built once for the other forms; each subcommand's options in
-``--help`` order; the same full digits past the int-to-str limit at any
-setting of it; the order of stdout and stderr; and runs in real
+and argparse reading the other forms, call after call; each subcommand's
+options in ``--help`` order; the same full digits past the int-to-str limit
+at any setting of it; the order of stdout and stderr; and runs in real
 processes, closed pipes and interrupts among them.  Verification failures
 are injected from the one table in test_faults.py.
 """
@@ -12,6 +12,7 @@ import ast
 import contextlib
 import io
 import json
+import multiprocessing
 import os
 import resource
 import shlex
@@ -57,9 +58,7 @@ def run_cli(
 def redirected_main(*args: str, merge: bool = False) -> tuple:
     """cli.main(args) in process: (code, stdout, stderr), or with ``merge``
     (code, text) with both streams in one buffer, so a line's stream
-    position shows.  The streams are fresh per call: the reused parser must
-    write to whichever sys.stdout and sys.stderr are current, not the ones
-    it was built under."""
+    position shows.  The streams are fresh per call."""
     out = io.StringIO()
     err = out if merge else io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -67,14 +66,10 @@ def redirected_main(*args: str, merge: bool = False) -> tuple:
     return (code, out.getvalue()) if merge else (code, out.getvalue(), err.getvalue())
 
 
-# --- the canonical forms without argparse, one parser for the rest ------------
+# --- the canonical forms without argparse, argparse for the rest -------------
 
 
-@pytest.fixture
-def fresh_parser():
-    cli.build_parser.cache_clear()
-    yield
-    cli.build_parser.cache_clear()
+PARSER = cli.build_parser()  # parsing leaves it unchanged, so one serves every call
 
 
 def fast_parsed(argv: list[str]) -> bool:
@@ -82,7 +77,7 @@ def fast_parsed(argv: list[str]) -> bool:
     must be the one argparse makes of the same argv."""
     fast = cli._parse_fast(argv)
     if fast is not None:
-        assert vars(fast) == vars(cli.build_parser().parse_args(argv)), argv
+        assert vars(fast) == vars(PARSER.parse_args(argv)), argv
     return fast is not None
 
 
@@ -151,34 +146,29 @@ def test_fast_parser_reads_canonical_forms_as_argparse_does(drawn):
     assert fast_parsed(argv) or mutated, argv
 
 
-def test_reused_parser_restores_defaults(fresh_parser):
-    # each argv below is a form that _parse_fast leaves to argparse
+# Each argv below is a form that _parse_fast leaves to argparse, and each
+# test a pair of calls: the second must not see the first's options, defaults
+# or usage error.  The names date from when one cached parser served them all.
+
+
+def test_reused_parser_restores_defaults():
     assert redirected_main("value", "s_d", "5", "--d=4") == (0, "54020\n", "")
     assert redirected_main("value", "--format", "plain", "s_d", "5") == (0, "10970\n", "")
 
 
-def test_reused_parser_recovers_from_usage_error(fresh_parser):
+def test_reused_parser_recovers_from_usage_error():
     code, out, err = redirected_main("value", "nope", "1")
     assert (code, out) == (2, "")
     assert err.startswith("usage: lacasse value") and "invalid choice: 'nope'" in err
     assert redirected_main("value", "alpha", "2", "--format=plain") == (0, "10\n", "")
 
 
-def test_reused_parser_restores_default_format(fresh_parser):
-    code, out, _ = redirected_main("value", "alpha", "3", "--format=json")
-    assert code == 0 and json.loads(out)["value"] == "78"
+def test_reused_parser_restores_default_format():
+    code, out, err = redirected_main("value", "alpha", "3", "--format=json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == dict(n=3, quantity="alpha", d=None, value="78", passed=None,
+                                   routes=None)
     assert redirected_main("value", "--d", "2", "alpha", "3") == (0, "78\n", "")
-
-
-def test_parser_built_once_for_many_calls(fresh_parser):
-    # the canonical forms build no parser; the first other form builds the
-    # one parser, and every later one reuses it
-    for command in ["value alpha 2", "value q 2", "verify --from 1 --to 2"]:
-        assert redirected_main(*command.split())[0] == 0
-    assert cli.build_parser.cache_info().misses == 0
-    for command in ["value alpha 2 --format=csv", "verify --from=1 --to 2"]:
-        assert redirected_main(*command.split())[0] == 0
-    assert cli.build_parser.cache_info()[:2] == (1, 1)  # (hits, misses)
 
 
 @pytest.mark.parametrize(
@@ -556,20 +546,35 @@ def test_subprocess_out_of_memory_exits_2_with_one_line():
         2, "", "error: out of memory computing value\n")
 
 
-# sitecustomize.py runs at every interpreter start, so the row's fault
-# reaches each pool worker under any start method
+def under_each_start_method(case: str, *values) -> list:
+    """pytest params of ``values`` and each start method of the --jobs pool:
+    the platform's default, which multiprocessing lists first, under the id
+    ``case``, and every other under ``case-method``."""
+    default, *others = multiprocessing.get_all_start_methods()
+    return [pytest.param(*values, default, id=case),
+            *(pytest.param(*values, method, id=f"{case}-{method}") for method in others)]
+
+
+# sitecustomize.py runs at every interpreter start, so the start method is
+# the pool's, and the row's fault reaches each pool worker, under any method
 SITECUSTOMIZE = """
-import sys
+import multiprocessing, sys
+multiprocessing.set_start_method({method!r}, force=True)
 sys.path.insert(0, {tests!r})
 from test_faults import FAULTS
 FAULTS[{row!r}].install()
 """
 
 
-@pytest.mark.parametrize("row", ["brute-alpha-5-from-1", "tree-3"], ids=["brute-round", "tree"])
-def test_subprocess_fault_crosses_the_pool(tmp_path, row):
+@pytest.mark.parametrize(
+    "row, method",
+    [*under_each_start_method("brute-round", "brute-alpha-5-from-1"),
+     *under_each_start_method("tree", "tree-3")],
+)
+def test_subprocess_fault_crosses_the_pool(tmp_path, row, method):
     tests = str(Path(__file__).resolve().parent)
-    (tmp_path / "sitecustomize.py").write_text(SITECUSTOMIZE.format(tests=tests, row=row))
+    (tmp_path / "sitecustomize.py").write_text(
+        SITECUSTOMIZE.format(method=method, tests=tests, row=row))
     fault = FAULTS[row]
     run = run_cli(*fault.command.split(), "--jobs", "2", site=tmp_path)
     assert_reported(fault, run.returncode, run.stdout, run.stderr)
@@ -595,9 +600,11 @@ def test_subprocess_closed_pipe_exits_141_quietly(command):
 
 
 
-# the series table touches a flag file, then stalls
+# the pool takes the given start method, and the series table touches a
+# flag file, then stalls
 STALL = """
-import pathlib, time
+import multiprocessing, pathlib, time
+multiprocessing.set_start_method({method!r}, force=True)
 from lacasse import identity
 identity.egf_geom_power = lambda *a, **k: (pathlib.Path({flag!r}).touch(), time.sleep(60))
 """
@@ -606,19 +613,35 @@ identity.egf_geom_power = lambda *a, **k: (pathlib.Path({flag!r}).touch(), time.
 JOBS_2 = "verify --from 1 --to 5 --routes closed,series --jobs 2"
 
 
+def live_group_members(pgid: int) -> list[int]:
+    """The pids in process group ``pgid`` that are not zombies, from /proc."""
+    members = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            text = stat.read_text()
+        except OSError:  # the process ended while /proc was read
+            continue
+        state, _, group = text.rsplit(")", 1)[1].split()[:3]  # past the name
+        if state != "Z" and int(group) == pgid:
+            members.append(int(stat.parent.name))
+    return members
+
+
 @pytest.mark.parametrize(
-    "command, kill",
-    [("verify --from 1 --to 5", os.killpg), (JOBS_2, os.killpg), (JOBS_2, os.kill)],
-    ids=["jobs-1", "jobs-2", "jobs-2-parent"],
+    "command, kill, method",
+    [pytest.param("verify --from 1 --to 5", os.killpg,
+                  multiprocessing.get_all_start_methods()[0], id="jobs-1"),
+     *under_each_start_method("jobs-2", JOBS_2, os.killpg),
+     *under_each_start_method("jobs-2-parent", JOBS_2, os.kill)],
 )
-def test_subprocess_interrupt_exits_130_with_one_line(tmp_path, command, kill):
+def test_subprocess_interrupt_exits_130_with_one_line(tmp_path, command, kill, method):
     # Ctrl-C, as a terminal sends it: SIGINT to the child's whole process
     # group, mid-run; at --jobs 2 the closed route's worker is idle by then.
     # Or `kill -INT <pid>`, to the child alone: its stalled worker must not
     # hold the exit for the 60 s of the stall.  No worker may print a
     # traceback or outlive the child
     flag = tmp_path / "stalled"
-    (tmp_path / "sitecustomize.py").write_text(STALL.format(flag=str(flag)))
+    (tmp_path / "sitecustomize.py").write_text(STALL.format(method=method, flag=str(flag)))
     with subprocess.Popen(**child(*command.split(), site=tmp_path), stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE, start_new_session=True) as proc:
         try:
@@ -628,8 +651,17 @@ def test_subprocess_interrupt_exits_130_with_one_line(tmp_path, command, kill):
             kill(proc.pid, signal.SIGINT)
             out, err = proc.communicate(timeout=10)
             assert (proc.returncode, out, err) == (130, "", "interrupted\n")
-            with pytest.raises(ProcessLookupError):  # the group is empty
-                os.killpg(proc.pid, 0)
+            if Path("/proc/self/stat").exists():
+                # outside fork, multiprocessing's helpers (the resource
+                # tracker, the fork server) end on their own just after the
+                # child, and may linger as zombies; no live member may stay
+                deadline = time.monotonic() + 5
+                while members := live_group_members(proc.pid):
+                    assert time.monotonic() < deadline, members
+                    time.sleep(0.01)
+            else:
+                with pytest.raises(ProcessLookupError):  # the group is empty
+                    os.killpg(proc.pid, 0)
         finally:  # a failing run leaves no process either
             with contextlib.suppress(ProcessLookupError):
                 os.killpg(proc.pid, signal.SIGKILL)

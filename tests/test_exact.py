@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import lacasse
-from lacasse.exact import _DIGITS, exact_str
+from lacasse.identity import _DIGITS, exact_str
 from oracles import multinomial, str_unlimited
 
 

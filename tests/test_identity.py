@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lacasse import identity
-from lacasse.exact import DomainError
 from lacasse.identity import (
     ConsistencyError,
+    DomainError,
     IdentityFailureError,
     RouteDisagreementError,
     alpha_closed,

@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from lacasse.exact import DomainError
-from lacasse.identity import geom_power, tree_series
+from lacasse.identity import DomainError, geom_power, tree_series
 from oracles import (
     add,
     exp_trunc,
